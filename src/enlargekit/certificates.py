@@ -107,13 +107,11 @@ def non_enlargeable_single_valued(a: ops.LinearMapOp) -> NonEnlargeableCertifica
         "pair joins the enlargement at eps = 1/2")
 
 
-def _affine_directions(op, base, count, radius, seed):
-    bx, bxs = base
-    stacked = np.concatenate([bx, bxs])
-    diffs = []
-    for x, xs in ops.sample_graph(op, count, radius, seed):
-        diffs.append(np.concatenate([x, xs]) - stacked)
-    return orthonormalize(np.stack(diffs).T, ambient_dim=stacked.shape[0])
+def _affine_directions(pairs, base):
+    """Span of the sampled graph pairs minus the base pair, in R^2n."""
+    stacked = np.concatenate(base)
+    diffs = pairs.reshape(pairs.shape[0], -1) - stacked
+    return orthonormalize(diffs.T, ambient_dim=stacked.shape[0])
 
 
 def non_enlargeable_affine(op: ops.OperatorDescriptor, base,
@@ -130,7 +128,7 @@ def non_enlargeable_affine(op: ops.OperatorDescriptor, base,
     if not ops.graph_member(op, bx, bxs, tol=1e-8):
         raise PreconditionFailedError("base point is not on the graph")
     pairs = ops.sample_graph(op, count, radius, seed)
-    directions = _affine_directions(op, (bx, bxs), count, radius, seed)
+    directions = _affine_directions(pairs, (bx, bxs))
     if directions.dim > n:
         raise GraphNotAffineError(
             f"difference directions span {directions.dim} > n = {n} dimensions")
@@ -224,6 +222,7 @@ class SumCheckReport:
     hypothesis_ok: bool
     mode: str
     notes: str = ""
+    skipped_points: int = 0  # cone-sum points left unchecked (rhs = +inf)
 
 
 def interior_domain_check(a, c: ops.ConvexSetDescriptor,
@@ -266,7 +265,9 @@ def _strictly_inside(c, x, margin):
 def _set_extent(c):
     if isinstance(c, ops.Ball):
         return float(np.linalg.norm(c.center) + c.radius)
-    return float(np.max(np.abs(np.concatenate([c.lo, c.hi]))))
+    if isinstance(c, ops.Box):
+        return float(np.max(np.abs(np.concatenate([c.lo, c.hi]))))
+    raise ops.UnsupportedOperatorError("sum certificates cover balls and boxes")
 
 
 def _line_meets_interior(c, direction, margin):
@@ -287,12 +288,12 @@ def _line_meets_interior(c, direction, margin):
     return bool(lo_t < hi_t)
 
 
-def sum_maximality(a, b) -> MaximalityCertificate:
+def sum_maximality(a, b, seed=1) -> MaximalityCertificate:
     """Maximality of A + B.
 
     Linear + linear: exact, by the dimension of the sum graph.  Linear +
-    normal cone: sampled certificate F >= pairing - 1e-8 over a grid plus
-    the interior-domain hypothesis check.
+    normal cone: sampled certificate F >= pairing - 1e-8 at 60 points drawn
+    from ``seed``, plus the interior-domain hypothesis check.
     """
     if _both_linear(a, b):
         rel = ops.sum_relation(a, b)
@@ -303,7 +304,7 @@ def sum_maximality(a, b) -> MaximalityCertificate:
     lin, cone = _split_linear_cone(a, b)
     hyp = interior_domain_check(lin, cone.set)
     fa, fc = fitz_evaluator(lin), fitz_evaluator(cone)
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(seed)
     n = ops.ambient_dim(lin)
     worst = math.inf
     for _ in range(60):
@@ -318,9 +319,7 @@ def sum_maximality(a, b) -> MaximalityCertificate:
         f"sampled min of F - pairing = {worst:.3e}; interior hypothesis: {hyp}")
 
 
-def _both_linear(a, b):
-    lin = (ops.LinearMapOp, ops.LinearRelationOp)
-    return isinstance(a, lin) and isinstance(b, lin)
+_both_linear = ops._both_linear
 
 
 def _split_linear_cone(a, b):
@@ -368,9 +367,7 @@ def _sum_points(a, b, n_points, seed):
         elif kind == 1:
             d = rng.normal(size=n)
             d /= max(np.linalg.norm(d), 1e-12)
-            z = ops._argmax_point(cone.set, d)
-            if z is None:
-                z = cone.set.interior_point()
+            z = ops._support_points(cone.set, d[None, :])[0]
         else:
             z = cone.set.interior_point() + 0.1 * rng.normal(size=n)
             z = cone.set.project(z)
@@ -387,6 +384,8 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0,
     The left side uses the closed form when the sum is again linear, and
     the sampled supremum (with its convex polish) otherwise.  A violated
     hypothesis flags the report as advisory but the check still runs.
+    Cone-sum points where the inf-convolution is +inf cannot be checked
+    against a sampled lower bound; ``skipped_points`` counts them.
     """
     fa, fb = fitz_evaluator(a), fitz_evaluator(b)
     both_linear = _both_linear(a, b)
@@ -405,6 +404,7 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0,
     sum_op = ops.SumOp((a, b))
     max_gap = 0.0
     witnesses = []
+    skipped = 0
     points = _sum_points(a, b, n_points, seed)
     for idx, (z, zs) in enumerate(points):
         if both_linear:
@@ -414,10 +414,12 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0,
                                   seed=seed + idx, divergence_check=False)
             lhs = res.value
         rhs = partial_inf_conv(fa, fb, z, zs, solver_cfg)
-        if math.isinf(rhs.value) and (math.isinf(lhs) or not both_linear):
-            # +inf agreed exactly in the linear case; for cone sums the
-            # sampled lhs cannot certify +inf, so the point is skipped
+        if math.isinf(rhs.value) and not both_linear:
+            # the sampled lhs of a cone sum cannot certify +inf
+            skipped += 1
             continue
+        if math.isinf(rhs.value) and math.isinf(lhs):
+            continue  # +inf agreed exactly in the linear case
         if math.isinf(rhs.value) != math.isinf(lhs):
             max_gap = math.inf
             break
@@ -427,8 +429,9 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0,
     return SumCheckReport(
         max_gap=max_gap, points_tested=len(points),
         exactness_witnesses=witnesses,
-        maximality=sum_maximality(a, b).maximal,
-        hypothesis_ok=hypothesis_ok, mode=mode, notes=notes)
+        maximality=sum_maximality(a, b, seed=seed).maximal,
+        hypothesis_ok=hypothesis_ok, mode=mode, notes=notes,
+        skipped_points=skipped)
 
 
 def sum_non_enlargeable(a, b) -> NonEnlargeableCertificate:

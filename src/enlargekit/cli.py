@@ -386,6 +386,7 @@ def cmd_sumcheck(args):
         "max_gap": report.max_gap,
         "points_tested": report.points_tested,
         "finite_points": len(report.exactness_witnesses),
+        "skipped_points": report.skipped_points,
         "worst_witness_residual": worst_resid,
         "maximal": report.maximality,
         "hypothesis_ok": report.hypothesis_ok,
@@ -470,6 +471,10 @@ def main(argv=None):
     except (ops.MalformedDescriptorError, DimensionMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RuntimeError as exc:
+        # solver failures and results contradicting a theorem
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ANOMALY
 
 
 def entry():

@@ -301,11 +301,10 @@ def eps_subdiff_oracle(n: ops.NormSubdiffOp, x, xs, eps,
     def related(y, ys):
         return float((x - y) @ (xs - ys))
 
-    worst = math.inf
-    for y, ys in ops.sample_graph(n, count, radius, seed):
-        worst = min(worst, related(y, ys))
-        if worst < -eps - margin:
-            return False
+    pairs = ops.sample_graph(n, count, radius, seed)
+    worst = float(np.min(np.einsum("ij,ij->i", x - pairs[:, 0], xs - pairs[:, 1])))
+    if worst < -eps - margin:
+        return False
 
     # directed radial probes: rays through the query data and axes
     dirs = [x, xs, x + xs, x - xs]

@@ -12,7 +12,6 @@ seed, so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -186,8 +185,14 @@ class Polytope:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
             z = new + ((t_acc - 1.0) / t_next) * (new - lam)
             if np.linalg.norm(new - lam) <= 1e-14 * (1.0 + np.linalg.norm(lam)):
-                lam = new
-                break
+                # momentum can bring two iterates together on a face of the
+                # simplex short of the optimum: stop only at a fixed point of
+                # the plain projected-gradient step, else restart the momentum
+                plain = _project_simplex(new - step * (p @ (p.T @ new - x)))
+                if np.linalg.norm(plain - new) <= 1e-14 * (1.0 + np.linalg.norm(new)):
+                    lam = new
+                    break
+                z, t_next = new, 1.0
             lam, t_acc = new, t_next
         return p.T @ lam
 
@@ -747,208 +752,306 @@ def graph_member(op: OperatorDescriptor, x, xs, tol=MEMBER_TOL) -> bool:
 # ---------------------------------------------------------------------------
 # deterministic graph sampling
 # ---------------------------------------------------------------------------
+#
+# Every sampler below returns whole arrays (x rows, x* rows) and is
+# prefix-stable: row i depends on i and the seed alone, never on the count.
+# Cyclic patterns come from index arithmetic, the low-discrepancy half from
+# the Halton sequence by index, and each random quantity from its own child
+# generator, read row by row.
 
 # Normal magnitudes for cone graph sampling, relative to the sampling radius
 # (at the default radius 10 this is the decade grid 0, 1e-2 .. 1e2).
-_SCALE_GRID = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 1e1)
+_SCALE_GRID = np.array([0.0, 1e-3, 1e-2, 1e-1, 1.0, 1e1])
+
+# Radii of the norm-subdifferential samples as fractions of the sampling
+# radius; the last slot of each cycle takes a seeded uniform radius instead.
+_RADIUS_CYCLE = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 0.0])
+
+# Upper end of the uniform magnitudes drawn for ray and face-cone values.
+_CONE_VALUE_SCALE = 10.0
 
 
-def _param_stream(n, radius, rng):
-    """Low-discrepancy cube points (clipped to the radius ball) interleaved
-    with seeded uniform ball points; the stream is prefix-stable."""
-    from scipy.stats import qmc
-    halton = qmc.Halton(d=n, scramble=False)
-    while True:
-        h = halton.random(1)[0]
-        p = radius * (2.0 * h - 1.0)
-        norm = float(np.linalg.norm(p))
-        if norm > radius:
-            p = p * (radius / norm)
-        yield p
-        d = rng.normal(size=n)
-        nd = float(np.linalg.norm(d))
-        if nd > 0:
-            r = radius * rng.uniform() ** (1.0 / n)
-            yield d * (r / nd)
+def _children(ss, k):
+    """The first ``k`` children of ``ss``, as ``ss.spawn(k)`` gives them on a
+    fresh sequence but without advancing ``ss``: redrawing a longer sample
+    from the same ``ss`` reads the same streams."""
+    return [np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,))
+            for i in range(k)]
 
 
-def _unit_dirs(n, rng):
-    while True:
-        d = rng.normal(size=n)
-        nd = float(np.linalg.norm(d))
-        if nd > 1e-12:
-            yield d / nd
+def _rngs(ss, k):
+    return [np.random.default_rng(s) for s in _children(ss, k)]
 
 
-def _graph_stream(op, radius, rng):
-    if isinstance(op, LinearMapOp):
-        for y in _param_stream(op.dim, radius, rng):
-            yield y, op.matrix @ y
-    elif isinstance(op, LinearRelationOp):
-        k = op.graph.dim
-        if k == 0:
-            while True:
-                yield np.zeros(op.dim), np.zeros(op.dim)
-        u, v = op.u_block, op.v_block
-        for t in _param_stream(k, radius, rng):
-            yield u @ t, v @ t
-    elif isinstance(op, NormSubdiffOp):
-        yield from _subdiff_stream(op, radius, rng)
-    elif isinstance(op, NormalConeOp):
-        yield from _cone_stream(op.set, radius, rng)
-    elif isinstance(op, SumOp):
-        yield from _sum_stream(op, radius, rng)
-    elif isinstance(op, TranslatedOp):
-        for x, xs in _graph_stream(op.inner, radius, rng):
-            yield x + op.shift_x, xs + op.shift_xs
+def _primes(k):
+    out = []
+    cand = 2
+    while len(out) < k:
+        if all(cand % p for p in out):
+            out.append(cand)
+        cand += 1
+    return out
+
+
+def _radical_inverse(idx, base):
+    """The base-``base`` digits of each index mirrored about the radix point
+    (van der Corput): 0, 1/2, 1/4, 3/4, ... in base 2."""
+    idx = np.array(idx, dtype=np.int64)
+    out = np.zeros(idx.shape)
+    scale = 1.0
+    while np.any(idx):
+        scale /= base
+        idx, digit = np.divmod(idx, base)
+        out += digit * scale
+    return out
+
+
+def _halton(count, dim):
+    """The first ``count`` points of the unscrambled Halton sequence in
+    [0, 1)^dim, starting at the origin; coordinate j uses the j-th prime."""
+    idx = np.arange(count)
+    return np.stack([_radical_inverse(idx, b) for b in _primes(dim)], axis=1)
+
+
+def _unit_rows(rng, m, dim):
+    d = rng.standard_normal((m, dim))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def _ball_points(m, dim, radius, ss):
+    """Seeded uniform points of the radius ball centred at the origin."""
+    g_dir, g_rad = _rngs(ss, 2)
+    d = _unit_rows(g_dir, m, dim)
+    return d * (radius * g_rad.random(m) ** (1.0 / dim))[:, None]
+
+
+def _params(count, dim, radius, ss):
+    """Parameter points: even rows are Halton points of the cube
+    [-radius, radius]^dim pulled into the radius ball, odd rows seeded
+    uniform points of the ball."""
+    h = radius * (2.0 * _halton((count + 1) // 2, dim) - 1.0)
+    nh = np.linalg.norm(h, axis=1, keepdims=True)
+    p = np.empty((count, dim))
+    p[0::2] = h * (radius / np.maximum(nh, radius))
+    p[1::2] = _ball_points(count // 2, dim, radius, ss)
+    return p
+
+
+def _sample_subdiff(op: NormSubdiffOp, count, radius, ss):
+    """Points r d along seeded unit directions, with r cycling through
+    _RADIUS_CYCLE; at r = 0 the p = 1 kink pairs the origin with a scaled
+    unit direction, any element of the unit ball being a subgradient."""
+    g_dir, g_u = _rngs(ss, 2)
+    d = _unit_rows(g_dir, count, op.dim)
+    u = g_u.random(count)
+    slot = np.arange(count) % _RADIUS_CYCLE.size
+    r = np.where(slot == _RADIUS_CYCLE.size - 1, u, _RADIUS_CYCLE[slot]) * radius
+    if op.p == 1.0:
+        mag = np.where(r == 0.0, u, 1.0)
     else:
-        raise MalformedDescriptorError(f"unknown descriptor {type(op)!r}")
+        mag = r ** (op.p - 1.0)
+    return r[:, None] * d, mag[:, None] * d
 
 
-def _subdiff_stream(op: NormSubdiffOp, radius, rng):
-    dirs = _unit_dirs(op.dim, rng)
-    radii = itertools.cycle(
-        [0.0, radius / 4, radius / 2, 3 * radius / 4, radius, None])
-    count = 0
-    for d, r in zip(dirs, radii):
-        if r is None:
-            r = radius * rng.uniform()
-        x = r * d
-        if r == 0.0:
-            if op.p == 1.0:
-                # at the kink, every unit-ball element is a subgradient
-                scale = rng.uniform()
-                yield np.zeros(op.dim), scale * d
-            else:
-                yield np.zeros(op.dim), np.zeros(op.dim)
-        else:
-            yield x, op.gradient(x)
-        count += 1
-        if op.p == 1.0 and count % 4 == 0:
-            yield np.zeros(op.dim), rng.uniform() * next(dirs)
-
-
-def _box_face_stream(c: Box, radius, rng):
+def _sample_cone(c: ConvexSetDescriptor, count, radius, ss):
+    """Rows cycle through: a point of the set with the zero normal; a
+    maximiser of <., d> with the outward normal s d (s from _SCALE_GRID);
+    for boxes, the centre moved onto a face pattern (cycling through
+    {-1, 0, 1}^n) with a sign-constrained normal."""
     n = c.dim
-    mid = 0.5 * (c.lo + c.hi)
-    patterns = itertools.cycle(itertools.product((-1, 0, 1), repeat=n))
-    scales = itertools.cycle(radius * s for s in _SCALE_GRID)
-    for sig in patterns:
-        sig = np.array(sig, dtype=float)
-        x = mid.copy()
-        x[sig > 0] = c.hi[sig > 0]
-        x[sig < 0] = c.lo[sig < 0]
-        u = sig * next(scales)
-        yield x, u
+    period = 3 if isinstance(c, Box) else 2
+    ss_in, ss_dir = _children(ss, 2)
+    x, xs = np.empty((count, n)), np.zeros((count, n))
+    x[0::period] = _inset_points(c, len(x[0::period]), ss_in)
+    d = _unit_rows(np.random.default_rng(ss_dir), len(x[1::period]), n)
+    x[1::period] = _support_points(c, d)
+    xs[1::period] = d * _cone_scales(len(d), radius)
+    if period == 3:
+        sig = _face_patterns(len(x[2::3]), n)
+        x[2::3] = np.where(sig > 0, c.hi, np.where(sig < 0, c.lo, 0.5 * (c.lo + c.hi)))
+        xs[2::3] = sig * _cone_scales(len(sig), radius)
+    return x, xs
 
 
-def _cone_stream(c: ConvexSetDescriptor, radius, rng):
-    n = c.dim
-    dirs = _unit_dirs(n, rng)
-    scales = itertools.cycle(radius * s for s in _SCALE_GRID)
-    box_faces = _box_face_stream(c, radius, rng) if isinstance(c, Box) else None
-    while True:
-        # a point of the set paired with the zero normal
-        yield _inset_point(c, rng), np.zeros(n)
-        # support route: x maximizes <., d>, so s*d is an outward normal at x
-        d = next(dirs)
-        x = _argmax_point(c, d)
-        if x is not None:
-            yield x, next(scales) * d
-        if box_faces is not None:
-            yield next(box_faces)
+def _cone_scales(m, radius):
+    """Column of normal magnitudes cycling through the scale grid."""
+    return (radius * _SCALE_GRID[np.arange(m) % _SCALE_GRID.size])[:, None]
 
 
-def _inset_point(c, rng) -> np.ndarray:
+def _face_patterns(m, n):
+    """Rows 0, 1, ... of the cyclic sequence {-1, 0, 1}^n in lexicographic
+    order (last coordinate fastest), read off the base-3 digits of the row
+    index."""
+    j = np.arange(m)
+    sig = np.empty((m, n))
+    for i in range(n - 1, -1, -1):
+        j, sig[:, i] = np.divmod(j, 3)
+    return sig - 1.0
+
+
+def _inset_points(c, m, ss) -> np.ndarray:
+    """``m`` seeded points of the set."""
     if isinstance(c, Ball):
-        d = rng.normal(size=c.dim)
-        nd = float(np.linalg.norm(d))
-        r = c.radius * rng.uniform() ** (1.0 / c.dim)
-        return c.center + (d * (r / nd) if nd > 0 else 0.0)
+        return c.center + _ball_points(m, c.dim, c.radius, ss)
+    (g,) = _rngs(ss, 1)
     if isinstance(c, Box):
-        return rng.uniform(c.lo, c.hi)
+        return g.uniform(c.lo, c.hi, size=(m, c.dim))
     if isinstance(c, Polytope):
-        w = rng.dirichlet(np.ones(len(c.vertices)))
-        return c._vertex_matrix().T @ w
+        # Dirichlet(1, ..., 1) weights as normalised exponentials
+        w = g.standard_exponential((m, len(c.vertices)))
+        return (w / w.sum(axis=1, keepdims=True)) @ c._vertex_matrix()
     raise MalformedDescriptorError(f"unknown set {type(c)!r}")
 
 
-def _argmax_point(c, d) -> Optional[np.ndarray]:
-    """A maximizer of <., d> over the set, None when ties make the face
-    ambiguous (polytopes only)."""
+def _support_points(c, d) -> np.ndarray:
+    """A maximiser of <., d_i> over the set for each unit row d_i, so that
+    every s d_i with s >= 0 is a normal there."""
     if isinstance(c, Ball):
         return c.center + c.radius * d
     if isinstance(c, Box):
         return np.where(d > 0, c.hi, c.lo)
     if isinstance(c, Polytope):
-        vals = c._vertex_matrix() @ d
-        order = np.argsort(vals)
-        if len(vals) > 1 and vals[order[-1]] - vals[order[-2]] <= 1e-12:
-            return None
-        return c.vertices[int(order[-1])].copy()
+        v = c._vertex_matrix()
+        return v[np.argmax(d @ v.T, axis=1)]
     raise MalformedDescriptorError(f"unknown set {type(c)!r}")
 
 
-def _term_value_at(term, x, rng):
-    """A representative x* with (x, x*) on the term's graph, None off-domain."""
-    return _value_representative(apply(term, x), rng)
+def _values_at(op, x, ss):
+    """For each row of ``x``: an element of op(x), and whether op(x) is
+    nonempty (rows where it is empty carry an arbitrary value)."""
+    m, n = x.shape
+    ok = np.ones(m, dtype=bool)
+    if isinstance(op, LinearMapOp):
+        return x @ op.matrix.T, ok
+    if isinstance(op, LinearRelationOp):
+        u, v = op.u_block, op.v_block
+        t = np.linalg.lstsq(u, x.T, rcond=None)[0].T
+        nx = np.linalg.norm(x, axis=1)
+        ok = np.linalg.norm(t @ u.T - x, axis=1) <= MEMBER_TOL * (1.0 + nx)
+        w = t @ v.T
+        null_u = _null_space(u)
+        if null_u.shape[1]:
+            dirs = orthonormalize(v @ null_u, ambient_dim=n)
+            (g,) = _rngs(ss, 1)
+            w = w + g.standard_normal((m, dirs.dim)) @ dirs.basis.T
+        return w, ok
+    if isinstance(op, NormSubdiffOp):
+        r = np.linalg.norm(x, axis=1)
+        safe = np.where(r > 0.0, r, 1.0)
+        w = x * (safe ** (op.p - 2.0))[:, None]
+        if op.p == 1.0:
+            g_dir, g_u = _rngs(ss, 2)
+            kink = _unit_rows(g_dir, m, n) * g_u.random(m)[:, None]
+            w = np.where((r > 0.0)[:, None], w, kink)
+        return w, ok
+    if isinstance(op, NormalConeOp):
+        return _cone_values_at(op.set, x, ss)
+    if isinstance(op, SumOp):
+        ss0, ss1 = _children(ss, 2)
+        w0, ok0 = _values_at(op.terms[0], x, ss0)
+        w1, ok1 = _values_at(op.terms[1], x, ss1)
+        return w0 + w1, ok0 & ok1
+    if isinstance(op, TranslatedOp):
+        w, ok = _values_at(op.inner, x - op.shift_x, ss)
+        return w + op.shift_xs, ok
+    raise MalformedDescriptorError(f"unknown descriptor {type(op)!r}")
 
 
-def _value_representative(val, rng):
-    if isinstance(val, EmptySet):
-        return None
-    if isinstance(val, PointValue):
-        return val.point
-    if isinstance(val, BallValue):
-        d = rng.normal(size=val.center.shape[0])
-        nd = float(np.linalg.norm(d))
-        r = val.radius * rng.uniform()
-        return val.center + (d * (r / nd) if nd > 0 else 0.0)
-    if isinstance(val, AffineSetValue):
-        coeff = rng.normal(size=val.directions.dim)
-        return val.point + val.directions.basis @ coeff
-    if isinstance(val, RayValue):
-        return rng.uniform(0.0, 10.0) * val.direction
-    if isinstance(val, FaceConeValue):
-        mags = rng.uniform(0.0, 10.0, size=val.signs.shape[0])
-        return val.signs * mags
-    if isinstance(val, ConeByInequalities):
-        return np.zeros(val.rows.shape[1])
-    if isinstance(val, TranslatedValue):
-        inner = _value_representative(val.base, rng)
-        return None if inner is None else val.offset + inner
-    raise UnsupportedOperatorError(f"unknown value {type(val)!r}")
+def _cone_values_at(c, x, ss):
+    m, n = x.shape
+    tol = MEMBER_TOL
+    (g,) = _rngs(ss, 1)
+    if isinstance(c, Ball):
+        d = x - c.center
+        nd = np.linalg.norm(d, axis=1)
+        ok = nd <= c.radius + tol
+        on_sphere = nd >= c.radius - tol
+        mag = np.where(on_sphere, g.uniform(0.0, _CONE_VALUE_SCALE, m) / np.maximum(nd, tol), 0.0)
+        return d * mag[:, None], ok
+    if isinstance(c, Box):
+        ok = np.all((x >= c.lo - tol) & (x <= c.hi + tol), axis=1)
+        signs = np.where(x >= c.hi - tol, 1.0, 0.0)
+        signs = np.where(x <= c.lo + tol, -1.0, signs)
+        return signs * g.uniform(0.0, _CONE_VALUE_SCALE, (m, n)), ok
+    if isinstance(c, Polytope):
+        ok = np.array([c.contains(row, tol) for row in x], dtype=bool)
+        return np.zeros((m, n)), ok
+    raise MalformedDescriptorError(f"unknown set {type(c)!r}")
 
 
-def _sum_stream(op: SumOp, radius, rng):
+def _both_linear(a, b) -> bool:
+    lin = (LinearMapOp, LinearRelationOp)
+    return isinstance(a, lin) and isinstance(b, lin)
+
+
+# A sum whose sampled driver points meet the other term's domain this rarely
+# has too thin a graph to sample: draws stop at this multiple of the count.
+_SUM_DRAW_CAP = 64
+
+
+def _sample_sum(op: SumOp, count, radius, ss):
+    """Graph points of the more domain-restricted term (a normal cone when
+    there is one) plus an element of the other term's value there.  Points
+    off the other term's domain are dropped, so longer prefixes of the
+    driver's sample are drawn until ``count`` points remain."""
     t0, t1 = op.terms
-    if isinstance(t0, (LinearMapOp, LinearRelationOp)) and \
-            isinstance(t1, (LinearMapOp, LinearRelationOp)):
-        yield from _graph_stream(sum_relation(t0, t1), radius, rng)
-        return
-    # order so that the more domain-restricted term drives the x samples
+    if _both_linear(t0, t1):
+        return _sample(sum_relation(t0, t1), count, radius, ss)
     if isinstance(t1, NormalConeOp) and not isinstance(t0, NormalConeOp):
         driver, other = t1, t0
     else:
         driver, other = t0, t1
-    for x, u in _graph_stream(driver, radius, rng):
-        w = _term_value_at(other, x, rng)
-        if w is None:
-            continue
-        yield x, u + w
+    ss_drv, ss_val = _children(ss, 2)
+    drawn = count
+    while True:
+        x, u = _sample(driver, drawn, radius, ss_drv)
+        w, ok = _values_at(other, x, ss_val)
+        keep = np.flatnonzero(ok)[:count]
+        if keep.size == count:
+            return x[keep], u[keep] + w[keep]
+        if drawn >= _SUM_DRAW_CAP * count:
+            raise RuntimeError(
+                f"only {keep.size} of {count} sampled points of the sum lie in "
+                f"both domains after {drawn} draws")
+        drawn *= 2
 
 
-def sample_graph(op: OperatorDescriptor, count, radius, seed) -> list:
-    """Deterministic graph samples: ``count`` pairs (x, x*) on gra op.
+def _sample(op, count, radius, ss):
+    """(x rows, x* rows) of ``count`` graph points; see :func:`sample_graph`."""
+    if isinstance(op, LinearMapOp):
+        y = _params(count, op.dim, radius, ss)
+        return y, y @ op.matrix.T
+    if isinstance(op, LinearRelationOp):
+        if op.graph.dim == 0:
+            return np.zeros((count, op.dim)), np.zeros((count, op.dim))
+        t = _params(count, op.graph.dim, radius, ss)
+        return t @ op.u_block.T, t @ op.v_block.T
+    if isinstance(op, NormSubdiffOp):
+        return _sample_subdiff(op, count, radius, ss)
+    if isinstance(op, NormalConeOp):
+        return _sample_cone(op.set, count, radius, ss)
+    if isinstance(op, SumOp):
+        return _sample_sum(op, count, radius, ss)
+    if isinstance(op, TranslatedOp):
+        x, xs = _sample(op.inner, count, radius, ss)
+        return x + op.shift_x, xs + op.shift_xs
+    raise MalformedDescriptorError(f"unknown descriptor {type(op)!r}")
 
-    For a fixed seed and radius, a longer sample extends a shorter one
-    (prefix-stable streams), which makes sampled suprema monotone in
-    ``count``.
+
+def sample_graph(op: OperatorDescriptor, count, radius, seed) -> np.ndarray:
+    """Deterministic graph samples: an array of shape ``(count, 2, n)`` whose
+    row i is a pair (x, x*) on gra op (``for x, xs in sample_graph(...)``).
+
+    Every kind is sampled in one vectorised pass.  For a fixed seed and
+    radius a longer sample extends a shorter one: each random quantity is
+    read row by row from its own child generator of
+    ``np.random.SeedSequence(seed)``, cyclic patterns follow the row index,
+    and the low-discrepancy half is the unscrambled Halton sequence by
+    index.  Sampled suprema are therefore monotone in ``count``.
     """
     if count <= 0:
         raise ValueError("count must be positive")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    rng = np.random.default_rng(seed)
-    stream = _graph_stream(op, radius, rng)
-    return [next(stream) for _ in range(count)]
+    x, xs = _sample(op, int(count), float(radius), np.random.SeedSequence(seed))
+    return np.stack([x, xs], axis=1)

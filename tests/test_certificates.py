@@ -233,3 +233,23 @@ def test_fs6_small_scale():
         b = random_maximal_monotone_relation(3, rng)
         rep = sum_fitz_exactness(a, b, n_points=40, seed=int(rng.integers(1 << 16)))
         assert rep.max_gap <= 1e-6
+
+
+def test_sum_maximality_uses_its_seed():
+    a, cone = LinearMapOp(np.eye(2)), NormalConeOp(Box([-1.0, -1.0], [1.0, 1.0]))
+    first, second = sum_maximality(a, cone, seed=1), sum_maximality(a, cone, seed=2)
+    assert first.maximal and second.maximal
+    assert first.detail != second.detail
+    assert sum_maximality(a, cone).detail == first.detail
+
+
+def test_sum_exactness_counts_skipped_cone_points():
+    # F of {0} x R is finite only at x = 0, so the inf-convolution is +inf
+    # at every test point of the interval off the origin
+    rep = sum_fitz_exactness(vertical_relation(), NormalConeOp(Box([-1.0], [1.0])),
+                             n_points=6)
+    assert rep.skipped_points > 0
+    assert rep.skipped_points + len(rep.exactness_witnesses) == rep.points_tested
+    linear = sum_fitz_exactness(LinearMapOp(np.eye(1)), LinearMapOp(np.eye(1)),
+                                n_points=6)
+    assert linear.skipped_points == 0

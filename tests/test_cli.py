@@ -227,3 +227,55 @@ def test_malformed_spec_exit_1(tmp_path):
     assert proc.returncode == 1
     missing = run_cli("classify", str(tmp_path / "nope.json"))
     assert missing.returncode == 1
+
+
+def test_solver_failure_exits_3(specs, monkeypatch, capsys):
+    from enlargekit import certificates as cert
+    from enlargekit import cli
+    from enlargekit.fitzpatrick import SolverFailureError
+
+    def fail(*args, **kwargs):
+        raise SolverFailureError("inner minimization residual above tolerance")
+
+    monkeypatch.setattr(cert, "sum_fitz_exactness", fail)
+    assert cli.main(["sumcheck", specs["id1"], specs["id1"]]) == cli.EXIT_ANOMALY
+    assert capsys.readouterr().err.startswith("error: inner minimization")
+
+
+def test_theorem_contradiction_exits_3(specs, monkeypatch, capsys):
+    from enlargekit import certificates as cert
+    from enlargekit import cli
+
+    def contradict(*args, **kwargs):
+        raise RuntimeError("pairing on gra(-A*) contradicts the criterion")
+
+    monkeypatch.setattr(cert, "non_enlargeable_linear_relation", contradict)
+    assert cli.main(["classify", specs["vertical"]]) == cli.EXIT_ANOMALY
+    assert capsys.readouterr().err.startswith("error: pairing")
+
+
+def test_sumcheck_linear_plus_polytope_cone_exit_2(tmp_path):
+    id2 = write_spec(tmp_path, "id2.json", {
+        "space_dim": 2,
+        "operator": {"kind": "linear_map", "matrix": [[1, 0], [0, 1]]}})
+    tri = write_spec(tmp_path, "tri.json", {
+        "space_dim": 2,
+        "operator": {"kind": "normal_cone",
+                     "set": {"kind": "polytope",
+                             "vertices": [[0, 0], [1, 0], [0, 1]]}}})
+    proc = run_cli("sumcheck", id2, tri, "--points", "5")
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert b"balls and boxes" in proc.stderr
+
+
+def test_sumcheck_reports_skipped_points(specs, tmp_path):
+    interval = write_spec(tmp_path, "interval.json", {
+        "space_dim": 1,
+        "operator": {"kind": "normal_cone",
+                     "set": {"kind": "box", "lo": [-1], "hi": [1]}}})
+    doc = run_json("sumcheck", specs["vertical"], interval, "--points", "6")
+    res = doc["results"]
+    assert res["skipped_points"] > 0
+    assert res["skipped_points"] + res["finite_points"] == res["points_tested"]
+    linear = run_json("sumcheck", specs["id1"], specs["id1"], "--points", "6")
+    assert linear["results"]["skipped_points"] == 0

@@ -247,3 +247,12 @@ def test_translated_graph():
     assert not graph_member(op, [0.5], [0.0])
     for x, xs in sample_graph(op, 30, 2.0, seed=2):
         assert graph_member(op, x, xs, tol=1e-8)
+
+
+def test_polytope_project_does_not_stop_on_a_stalled_face():
+    # momentum makes two FISTA iterates meet on the face opposite the origin
+    # vertex before the weights are right; the point lies 0.002 inside
+    tri = Polytope((np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+    x = np.array([0.85623089, 0.1407441])
+    np.testing.assert_allclose(tri.project(x), x, atol=1e-12)
+    assert tri.contains(x)
