@@ -359,6 +359,7 @@ def _sum_points(a, b, n_points, seed):
         return pts
     lin, cone = _split_linear_cone(a, b)
     n = ops.ambient_dim(lin)
+    dom = ops.dom_subspace(lin)
     pts = []
     while len(pts) < n_points:
         kind = len(pts) % 3
@@ -370,6 +371,9 @@ def _sum_points(a, b, n_points, seed):
             z = ops._support_points(cone.set, d[None, :])[0]
         else:
             z = cone.set.interior_point() + 0.1 * rng.normal(size=n)
+            if dom.dim < n:
+                # F of the sum is +inf off dom A: move towards it first
+                z = dom.project(z)
             z = cone.set.project(z)
         pts.append((z, rng.normal(size=n) * 2))
     return pts

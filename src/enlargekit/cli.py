@@ -375,6 +375,10 @@ def cmd_sumcheck(args):
             ops.UnsupportedOperatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    if report.skipped_points == report.points_tested:
+        print(f"error: no sampled point had a finite value ({report.skipped_points} "
+              f"of {report.points_tested} skipped)", file=sys.stderr)
+        return EXIT_ANOMALY
     non_enl = None
     if cert._both_linear(op_a, op_b):
         rel = ops.sum_relation(op_a, op_b)

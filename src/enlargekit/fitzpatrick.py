@@ -32,6 +32,7 @@ import numpy as np
 import scipy.optimize
 
 from . import operators as ops
+from .operators import SolverFailureError
 from .linalg import (
     as_vector,
     check_symmetric,
@@ -42,14 +43,6 @@ from .linalg import (
 )
 
 CARRIER_TOL = 1e-9
-
-
-class SolverFailureError(RuntimeError):
-    """Inner minimization stopped above tolerance at the iteration cap.
-
-    Distinct from a genuinely infinite value: it signals numerical trouble
-    or violated hypotheses, never a certified +inf.
-    """
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +433,7 @@ class _QuadPiece:
             self.d = np.zeros(0)
         self.hess = 0.5 * cq.u @ cq.p @ cq.u.T
         self.lin = 0.5 * self.sign * (cq.u @ cq.p @ a)
+        self._prox_step = None
 
     def c_of(self, v):
         return self.a + self.sign * (self.cq.u.T @ v)
@@ -459,16 +453,22 @@ class _QuadPiece:
         return 0.5 * self.sign * (self.cq.u @ self.cq.p @ c)
 
     def prox(self, w, t):
-        """argmin phi(v) + ||v - w||^2 / (2 t) subject to the carrier."""
-        n = w.shape[0]
-        m = self.e.shape[0]
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = self.hess + np.eye(n) / t
-        kkt[:n, n:] = self.e.T
-        kkt[n:, :n] = self.e
-        rhs = np.concatenate([w / t - self.lin, self.d])
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        return sol[:n]
+        """argmin phi(v) + ||v - w||^2 / (2 t) subject to the carrier.
+
+        The KKT matrix depends on t alone, so its minimum-norm inverse is
+        formed once per step and each call is one affine map of w."""
+        if self._prox_step != t:
+            n = w.shape[0]
+            m = self.e.shape[0]
+            kkt = np.zeros((n + m, n + m))
+            kkt[:n, :n] = self.hess + np.eye(n) / t
+            kkt[:n, n:] = self.e.T
+            kkt[n:, :n] = self.e
+            inv = np.linalg.pinv(kkt, rcond=(n + m) * np.finfo(float).eps)[:n]
+            self._prox_map = inv[:, :n] / t
+            self._prox_shift = inv[:, n:] @ self.d - inv[:, :n] @ self.lin
+            self._prox_step = t
+        return self._prox_map @ w + self._prox_shift
 
 
 class _ProxPiece:
@@ -528,11 +528,16 @@ def _exact_quad_quad(p1: _QuadPiece, p2: _QuadPiece, n):
     e = np.vstack([p1.e, p2.e])
     d = np.concatenate([p1.d, p2.d])
     if e.shape[0]:
-        v0, *_ = np.linalg.lstsq(e, d, rcond=None)
-        if float(np.linalg.norm(e @ v0 - d)) > CARRIER_TOL * (1.0 + np.linalg.norm(d)):
+        # each block of e is a product of orthonormal bases (norm <= 1); a
+        # direction that moves the carrier residual by at most CARRIER_TOL
+        # per unit of v is rounding noise (a carrier block that vanishes in
+        # exact arithmetic): drop it, and d must vanish on it
+        left, s, vt = np.linalg.svd(e)
+        rank = int(np.sum(s > CARRIER_TOL))
+        dl = left.T @ d
+        if float(np.linalg.norm(dl[rank:])) > CARRIER_TOL * (1.0 + np.linalg.norm(d)):
             return None  # incompatible carriers: the inf-convolution is +inf
-        _, s, vt = np.linalg.svd(e)
-        rank = int(np.sum(s > (s[0] if s.size else 0.0) * 1e-12))
+        v0 = vt[:rank].T @ (dl[:rank] / s[:rank])
         z = vt[rank:].T
     else:
         v0 = np.zeros(n)

@@ -56,6 +56,14 @@ class UnsupportedOperatorError(TypeError):
     """The requested operation has no implementation for this descriptor."""
 
 
+class SolverFailureError(RuntimeError):
+    """An iterative solver stopped at its cycle or iteration cap.
+
+    Distinct from a genuinely infinite value: it signals numerical trouble
+    or violated hypotheses, never a certified answer.
+    """
+
+
 # ---------------------------------------------------------------------------
 # convex set descriptors
 # ---------------------------------------------------------------------------
@@ -130,15 +138,11 @@ class Box:
         return 0.5 * (self.lo + self.hi)
 
 
-def _project_simplex(y):
-    """Euclidean projection onto the probability simplex (sort method)."""
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, y.size + 1)
-    cond = u - css / idx > 0
-    rho = int(idx[cond][-1])
-    theta = css[rho - 1] / rho
-    return np.maximum(y - theta, 0.0)
+# Wolfe's stopping tolerance, relative to the largest shifted vertex norm,
+# and its cap on major cycles per vertex plus dimension (finite termination
+# makes the cap unreachable in exact arithmetic).
+WOLFE_TOL = 1e-12
+WOLFE_CYCLES_PER_VERTEX = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +150,7 @@ class Polytope:
     """Convex hull of a nonempty, vertex-listed point set (V-representation)."""
 
     vertices: tuple
+    matrix: np.ndarray = field(init=False, repr=False)  # (m, n), one row a vertex
 
     def __post_init__(self):
         if len(self.vertices) == 0:
@@ -155,53 +160,69 @@ class Polytope:
         if any(v.shape[0] != d for v in verts):
             raise DimensionMismatchError("polytope vertices have mixed dimensions")
         object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "matrix", np.stack(verts))
 
     @property
     def dim(self):
-        return self.vertices[0].shape[0]
-
-    def _vertex_matrix(self):
-        return np.stack(self.vertices)  # (m, n)
+        return self.matrix.shape[1]
 
     def support(self, u) -> float:
         u = as_vector(u, self.dim)
-        return float(np.max(self._vertex_matrix() @ u))
+        return float(np.max(self.matrix @ u))
 
     def project(self, x) -> np.ndarray:
-        """Nearest point of the hull, via accelerated projected gradient on
-        the simplex weights (exact for a single vertex)."""
+        """Nearest point of the hull, by Wolfe's nearest-point algorithm
+        (Math. Prog. 11, 1976), which terminates finitely.
+
+        On the shifted vertices q_i = v_i - x, a corral S starts at the
+        vertex of least norm, and y is a point of its hull.  A major cycle
+        adds the j minimising <q_j, y> unless ||y|| <= eps, ||y||^2 - <q_j, y>
+        <= eps ||y|| (eps = ``WOLFE_TOL`` max ||q_i||), j is in S, or ||y||
+        did not fall since the last one.  Minor cycles move y to the affine
+        minimiser of S (minimum-norm least squares, so repeated and affinely
+        dependent vertices are safe), dropping a vertex whose weight reaches
+        zero on the way.  Past ``WOLFE_CYCLES_PER_VERTEX`` * (m + n) major
+        cycles it raises :class:`SolverFailureError` instead of returning a
+        point.
+        """
         x = as_vector(x, self.dim)
-        p = self._vertex_matrix()
-        m = p.shape[0]
-        if m == 1:
-            return p[0].copy()
-        lam = np.full(m, 1.0 / m)
-        lip = float(np.linalg.norm(p @ p.T, 2))
-        step = 1.0 / max(lip, 1e-30)
-        z, t_acc = lam.copy(), 1.0
-        for _ in range(4000):
-            grad = p @ (p.T @ z - x)
-            new = _project_simplex(z - step * grad)
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-            z = new + ((t_acc - 1.0) / t_next) * (new - lam)
-            if np.linalg.norm(new - lam) <= 1e-14 * (1.0 + np.linalg.norm(lam)):
-                # momentum can bring two iterates together on a face of the
-                # simplex short of the optimum: stop only at a fixed point of
-                # the plain projected-gradient step, else restart the momentum
-                plain = _project_simplex(new - step * (p @ (p.T @ new - x)))
-                if np.linalg.norm(plain - new) <= 1e-14 * (1.0 + np.linalg.norm(new)):
-                    lam = new
+        q = self.matrix - x
+        sq = np.einsum("ij,ij->i", q, q)
+        eps = WOLFE_TOL * float(np.sqrt(np.max(sq)))
+        corral, lam = [int(np.argmin(sq))], np.ones(1)
+        y, last = q[corral[0]], np.inf
+        cap = WOLFE_CYCLES_PER_VERTEX * (q.shape[0] + q.shape[1])
+        for _ in range(cap):
+            dots = q @ y
+            j = int(np.argmin(dots))
+            ny = float(np.linalg.norm(y))
+            if ny <= eps or ny * ny - float(dots[j]) <= eps * ny or j in corral or ny >= last:
+                return x + y
+            corral, lam, last = corral + [j], np.append(lam, 0.0), ny
+            while True:  # minor cycles, each dropping a vertex of the corral
+                qs = q[corral]
+                beta = np.linalg.lstsq((qs[1:] - qs[0]).T, -qs[0], rcond=None)[0]
+                alpha = np.concatenate([[1.0 - beta.sum()], beta])
+                if np.all(alpha > 0.0):
                     break
-                z, t_next = new, 1.0
-            lam, t_acc = new, t_next
-        return p.T @ lam
+                # step from lam towards alpha until a weight reaches zero
+                neg = np.flatnonzero(alpha <= 0.0)
+                ratios = lam[neg] / np.maximum(lam[neg] - alpha[neg], np.finfo(float).tiny)
+                lam = lam + float(np.min(ratios)) * (alpha - lam)
+                lam[neg[np.argmin(ratios)]] = 0.0
+                corral = [c for c, w in zip(corral, lam) if w > 0.0]
+                lam = lam[lam > 0.0]
+            lam = alpha
+            y = lam @ q[corral]
+        raise SolverFailureError(
+            f"Wolfe's nearest-point algorithm did not terminate in {cap} major cycles")
 
     def contains(self, x, tol=MEMBER_TOL) -> bool:
         x = as_vector(x, self.dim)
         return float(np.linalg.norm(x - self.project(x))) <= tol * (1.0 + np.linalg.norm(x))
 
     def interior_point(self) -> np.ndarray:
-        return self._vertex_matrix().mean(axis=0)
+        return self.matrix.mean(axis=0)
 
 
 ConvexSetDescriptor = Union[Ball, Box, Polytope]
@@ -739,8 +760,7 @@ def _normal_cone_value(c: ConvexSetDescriptor, x) -> SetValue:
     if isinstance(c, Polytope):
         if not c.contains(x, tol):
             return EmptySet()
-        rows = c._vertex_matrix() - x
-        return ConeByInequalities(rows)
+        return ConeByInequalities(c.matrix - x)
     raise MalformedDescriptorError(f"unknown set {type(c)!r}")
 
 
@@ -899,7 +919,7 @@ def _inset_points(c, m, ss) -> np.ndarray:
     if isinstance(c, Polytope):
         # Dirichlet(1, ..., 1) weights as normalised exponentials
         w = g.standard_exponential((m, len(c.vertices)))
-        return (w / w.sum(axis=1, keepdims=True)) @ c._vertex_matrix()
+        return (w / w.sum(axis=1, keepdims=True)) @ c.matrix
     raise MalformedDescriptorError(f"unknown set {type(c)!r}")
 
 
@@ -911,8 +931,7 @@ def _support_points(c, d) -> np.ndarray:
     if isinstance(c, Box):
         return np.where(d > 0, c.hi, c.lo)
     if isinstance(c, Polytope):
-        v = c._vertex_matrix()
-        return v[np.argmax(d @ v.T, axis=1)]
+        return c.matrix[np.argmax(d @ c.matrix.T, axis=1)]
     raise MalformedDescriptorError(f"unknown set {type(c)!r}")
 
 

@@ -253,3 +253,29 @@ def test_sum_exactness_counts_skipped_cone_points():
     linear = sum_fitz_exactness(LinearMapOp(np.eye(1)), LinearMapOp(np.eye(1)),
                                 n_points=6)
     assert linear.skipped_points == 0
+
+
+def test_sum_exactness_map_plus_relation_with_a_proper_domain():
+    # R = {(Q a, Q M a + Q_perp b)}: its carrier block on the Q_perp part is
+    # rounding noise, which the quad-quad solve must not take as a constraint
+    for n in (2, 4, 10, 40):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a = random_monotone_matrix(n, rng)
+            k = max(1, n // 2)
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            m = random_monotone_matrix(k, rng).matrix
+            cols = np.block([[q[:, :k], np.zeros((n, n - k))], [q[:, :k] @ m, q[:, k:]]])
+            r = LinearRelationOp.from_graph_columns(cols, dim=n)
+            rep = sum_fitz_exactness(a, r, n_points=4, seed=seed)
+            assert rep.max_gap <= 1e-6, (n, seed, rep.max_gap)
+
+
+def test_sum_exactness_checks_points_of_a_proper_domain():
+    # the sum {0} x R + N_[-1, 1] has finite F only at x = 0, so a point of
+    # dom A must be among those checked
+    rep = sum_fitz_exactness(vertical_relation(), NormalConeOp(Box([-1.0], [1.0])),
+                             n_points=9)
+    assert 0 < rep.skipped_points < rep.points_tested
+    assert len(rep.exactness_witnesses) == rep.points_tested - rep.skipped_points
+    assert rep.max_gap <= 1e-8

@@ -279,3 +279,19 @@ def test_sumcheck_reports_skipped_points(specs, tmp_path):
     assert res["skipped_points"] + res["finite_points"] == res["points_tested"]
     linear = run_json("sumcheck", specs["id1"], specs["id1"], "--points", "6")
     assert linear["results"]["skipped_points"] == 0
+
+
+def test_sumcheck_that_checked_nothing_exits_3(specs, monkeypatch, capsys):
+    from enlargekit import certificates as cert
+    from enlargekit import cli
+
+    def all_skipped(*args, **kwargs):
+        return cert.SumCheckReport(
+            max_gap=0.0, points_tested=9, exactness_witnesses=[], maximality=True,
+            hypothesis_ok=True, mode="linear+normal-cone", skipped_points=9)
+
+    monkeypatch.setattr(cert, "sum_fitz_exactness", all_skipped)
+    assert cli.main(["sumcheck", specs["vertical"], specs["id1"]]) == cli.EXIT_ANOMALY
+    out = capsys.readouterr()
+    assert out.err == "error: no sampled point had a finite value (9 of 9 skipped)\n"
+    assert out.out == ""

@@ -281,3 +281,39 @@ def test_infconv_upper_bounds_sum_bruteforce():
                                 radius=6.0, seed=3, divergence_check=False)
         if math.isfinite(res.value):
             assert brute.value <= res.value + 1e-6
+
+
+def _lstsq_prox(piece, w, t):
+    """The KKT solve of the quadratic piece's prox, one lstsq per call."""
+    n, m = w.shape[0], piece.e.shape[0]
+    kkt = np.zeros((n + m, n + m))
+    kkt[:n, :n] = piece.hess + np.eye(n) / t
+    kkt[:n, n:] = piece.e.T
+    kkt[n:, :n] = piece.e
+    rhs = np.concatenate([w / t - piece.lin, piece.d])
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:n]
+
+
+def test_factored_quad_prox_matches_the_kkt_solve():
+    from enlargekit.fitzpatrick import _QuadPiece, _carrier_from_map, _carrier_from_relation
+
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 5):
+        g = rng.normal(size=(n, n))
+        k = rng.normal(size=(n, n))
+        full = _carrier_from_map(LinearMapOp(g @ g.T + 0.5 * (k - k.T)))
+        skew = _carrier_from_map(LinearMapOp(0.5 * (k - k.T)))  # carrier rows: W = 0
+        for cq in (full, skew):
+            assert (cq.null.shape[1] > 0) == (cq is skew)
+            for sign in (-1.0, 1.0):
+                piece = _QuadPiece(cq, rng.normal(size=cq.u.shape[1]), sign)
+                for t in (1.0, 0.3, 1.0):
+                    for _ in range(3):
+                        w = rng.normal(size=n)
+                        np.testing.assert_allclose(piece.prox(w, t), _lstsq_prox(piece, w, t),
+                                                   rtol=0, atol=1e-12)
+    rel = _carrier_from_relation(vertical_relation())
+    piece = _QuadPiece(rel, np.array([0.7]), 1.0)
+    assert piece.e.shape[0] == 1
+    np.testing.assert_allclose(piece.prox(np.array([0.4]), 1.0),
+                               _lstsq_prox(piece, np.array([0.4]), 1.0), rtol=0, atol=1e-12)

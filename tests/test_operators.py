@@ -256,3 +256,72 @@ def test_polytope_project_does_not_stop_on_a_stalled_face():
     x = np.array([0.85623089, 0.1407441])
     np.testing.assert_allclose(tri.project(x), x, atol=1e-12)
     assert tri.contains(x)
+
+
+def _hull_contains(pts, x):
+    """Monotone-chain hull of 2-D points, then a same-side test of x."""
+    pts = sorted(map(tuple, pts))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = chain(pts) + chain(reversed(pts))
+    return all(cross(hull[i - 1], hull[i], x) >= 0 for i in range(len(hull)))
+
+
+def test_polytope_contains_agrees_with_hull_near_the_boundary():
+    ang = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 200)
+    verts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    poly = Polytope(tuple(verts))
+    inside = 0
+    for a in np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False):
+        x = 0.999 * np.array([np.cos(a), np.sin(a)])
+        want = _hull_contains(verts, x)
+        assert poly.contains(x) == want, a
+        inside += want
+    assert inside == 55
+
+
+def _hull_residual(verts, p):
+    """Distance from p to the nearest nonnegative weighting of the vertices
+    whose weights sum to one (Lawson-Hanson NNLS): ~0 exactly for hull points."""
+    from scipy.optimize import nnls
+    a = np.vstack([verts.T, np.ones(len(verts))])
+    return nnls(a, np.append(p, 1.0))[1]
+
+
+def test_polytope_project_is_the_nearest_hull_point():
+    rng = np.random.default_rng(3)
+    for trial in range(150):
+        n = 2 + trial % 4
+        verts = rng.normal(size=(int(rng.integers(1, 25)), n))
+        if trial % 5 == 1 and len(verts) > 1:
+            verts[-1] = verts[0]  # duplicate vertex
+        if trial % 5 == 2 and len(verts) > 2:
+            verts[2] = 0.25 * verts[0] + 0.75 * verts[1]  # collinear triple
+        if trial % 5 == 3:
+            verts = verts[:1]  # a single vertex
+        poly = Polytope(tuple(verts))
+        w = rng.exponential(size=len(verts))
+        for x in (rng.normal(size=n) * 3.0, w @ verts / w.sum() + 1e-6 * rng.normal(size=n)):
+            p = poly.project(x)
+            assert np.max((verts - p) @ (x - p)) <= 1e-9
+            assert _hull_residual(verts, p) <= 1e-9
+
+
+def test_polytope_project_raises_at_its_cycle_cap(monkeypatch):
+    import enlargekit.operators as ops
+    from enlargekit.fitzpatrick import SolverFailureError
+
+    tri = Polytope((np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+    monkeypatch.setattr(ops, "WOLFE_CYCLES_PER_VERTEX", 0)
+    with pytest.raises(SolverFailureError):
+        tri.project(np.array([0.2, 0.2]))
