@@ -292,11 +292,14 @@ def sum_maximality(a, b, seed=1) -> MaximalityCertificate:
     """Maximality of A + B.
 
     Linear + linear: exact, by the dimension of the sum graph.  Linear +
-    normal cone: sampled certificate F >= pairing - 1e-8 at 60 points drawn
-    from ``seed``, plus the interior-domain hypothesis check.
+    normal cone: sampled certificate F >= pairing - 1e-8 at the 60 test
+    points of :func:`_sum_points` drawn from ``seed``, plus the
+    interior-domain hypothesis check; with no point of finite F there is
+    no evidence, and the verdict is False.
     """
-    if _both_linear(a, b):
-        rel = ops.sum_relation(a, b)
+    sum_op = ops.SumOp((a, b))
+    rel = sum_op.relation
+    if rel is not None:
         rep = ops.validate(rel)
         return MaximalityCertificate(
             bool(rep.monotone and rep.maximal), True,
@@ -304,22 +307,19 @@ def sum_maximality(a, b, seed=1) -> MaximalityCertificate:
     lin, cone = _split_linear_cone(a, b)
     hyp = interior_domain_check(lin, cone.set)
     fa, fc = fitz_evaluator(lin), fitz_evaluator(cone)
-    rng = np.random.default_rng(seed)
-    n = ops.ambient_dim(lin)
     worst = math.inf
-    for _ in range(60):
-        z = cone.set.project(rng.normal(size=n) * _set_extent(cone.set))
-        zs = rng.normal(size=n) * 2.0
+    for z, zs in _sum_points(sum_op, 60, seed):
         res = partial_inf_conv(fa, fc, z, zs)
         if math.isfinite(res.value):
             worst = min(worst, res.value - pairing(z, zs))
+    if math.isinf(worst):
+        return MaximalityCertificate(
+            False, False,
+            f"no sampled point had a finite F; interior hypothesis: {hyp}")
     ok = worst >= -1e-8
     return MaximalityCertificate(
         bool(ok and hyp is True), False,
         f"sampled min of F - pairing = {worst:.3e}; interior hypothesis: {hyp}")
-
-
-_both_linear = ops._both_linear
 
 
 def _split_linear_cone(a, b):
@@ -331,12 +331,12 @@ def _split_linear_cone(a, b):
         "sum certificates cover linear+linear and linear+normal-cone")
 
 
-def _sum_points(a, b, n_points, seed):
+def _sum_points(op: ops.SumOp, n_points, seed):
     """Test points (z, z*) mixing graph points of the sum, range-compatible
     perturbations, and fully random pairs."""
     rng = np.random.default_rng(seed)
-    if _both_linear(a, b):
-        rel = ops.sum_relation(a, b)
+    rel = op.relation
+    if rel is not None:
         n = rel.dim
         u, v = rel.u_block, rel.v_block
         w = 0.5 * (u.T @ v + v.T @ u)
@@ -357,7 +357,7 @@ def _sum_points(a, b, n_points, seed):
             else:
                 pts.append((rng.normal(size=n) * 2, rng.normal(size=n) * 2))
         return pts
-    lin, cone = _split_linear_cone(a, b)
+    lin, cone = _split_linear_cone(*op.terms)
     n = ops.ambient_dim(lin)
     dom = ops.dom_subspace(lin)
     pts = []
@@ -392,9 +392,10 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0,
     against a sampled lower bound; ``skipped_points`` counts them.
     """
     fa, fb = fitz_evaluator(a), fitz_evaluator(b)
-    both_linear = _both_linear(a, b)
+    sum_op = ops.SumOp((a, b))
+    both_linear = sum_op.relation is not None
     if both_linear:
-        lhs_ev = fitz_evaluator(ops.sum_relation(a, b))
+        lhs_ev = fitz_evaluator(sum_op)
         hypothesis_ok = True  # dom A - dom B is a subspace, closed in R^n
         mode = "linear+linear"
         notes = "domain-difference closedness holds automatically"
@@ -405,11 +406,10 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0,
         lhs_ev = None
         mode = "linear+normal-cone"
         notes = f"interior-domain check: {hyp}"
-    sum_op = ops.SumOp((a, b))
     max_gap = 0.0
     witnesses = []
     skipped = 0
-    points = _sum_points(a, b, n_points, seed)
+    points = _sum_points(sum_op, n_points, seed)
     for idx, (z, zs) in enumerate(points):
         if both_linear:
             lhs = lhs_ev.evaluate(z, zs)
@@ -433,7 +433,8 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0,
     return SumCheckReport(
         max_gap=max_gap, points_tested=len(points),
         exactness_witnesses=witnesses,
-        maximality=sum_maximality(a, b, seed=seed).maximal,
+        maximality=(ops.validate(sum_op).maximal if both_linear
+                    else sum_maximality(a, b, seed=seed).maximal),
         hypothesis_ok=hypothesis_ok, mode=mode, notes=notes,
         skipped_points=skipped)
 
@@ -445,7 +446,8 @@ def sum_non_enlargeable(a, b) -> NonEnlargeableCertificate:
     verdict on the recomputed sum would contradict the sum theorem and is
     reported as an error, not a result.
     """
-    if not _both_linear(a, b):
+    rel = ops.SumOp((a, b)).relation
+    if rel is None:
         raise ops.UnsupportedOperatorError("sum certificate needs linear terms")
     for term in (a, b):
         if isinstance(term, ops.LinearMapOp):
@@ -454,7 +456,6 @@ def sum_non_enlargeable(a, b) -> NonEnlargeableCertificate:
             cert = non_enlargeable_linear_relation(term)
         if not cert.verdict:
             raise PreconditionFailedError("summand is enlargeable")
-    rel = ops.sum_relation(a, b)
     out = non_enlargeable_linear_relation(rel)
     if not out.verdict:
         raise RuntimeError("sum of non-enlargeable relations tested enlargeable; "

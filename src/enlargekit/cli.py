@@ -7,7 +7,8 @@ Operator spec files are strict JSON (UTF-8, no comments):
 
 Operator kinds: linear_map {matrix}, linear_relation {graph_basis, rows
 are R^(2n) vectors}, norm_subdiff {p}, normal_cone {set: ball|box|
-polytope}, sum {terms: [...]}.
+polytope}, sum {terms: [...]}.  A sum of two linear terms is handled as
+its sum relation, itself a linear relation, by every command.
 
 Every command prints a single versioned JSON envelope to stdout; CSV side
 outputs go to user-named paths only.  Exit codes: 0 ok, 1 input error,
@@ -167,9 +168,10 @@ def _classification(op):
         "non_enlargeable": None,
         "detail": report.detail,
     }
-    if isinstance(op, (ops.LinearMapOp, ops.LinearRelationOp)):
-        res["symmetric"] = ops.is_symmetric(op)
-        res["skew"] = ops.is_skew(op)
+    lin = op.relation if isinstance(op, ops.SumOp) else op
+    if isinstance(lin, (ops.LinearMapOp, ops.LinearRelationOp)):
+        res["symmetric"] = ops.is_symmetric(lin)
+        res["skew"] = ops.is_skew(lin)
     if not report.monotone:
         return res
     verdict, witness = _non_enlargeable(op)
@@ -189,11 +191,7 @@ def _non_enlargeable(op):
         c = cert.non_enlargeable_linear_relation(op)
         return c.verdict, c.witness
     if isinstance(op, ops.SumOp):
-        t0, t1 = op.terms
-        if isinstance(t0, (ops.LinearMapOp, ops.LinearRelationOp)) and \
-                isinstance(t1, (ops.LinearMapOp, ops.LinearRelationOp)):
-            return _non_enlargeable(ops.sum_relation(t0, t1))
-        return None, None
+        return _non_enlargeable(op.relation)  # None falls through: no verdict
     if isinstance(op, ops.NormSubdiffOp):
         return False, _subdiff_witness(op)
     if isinstance(op, ops.NormalConeOp):
@@ -283,6 +281,8 @@ def cmd_fitz(args):
 # ---------------------------------------------------------------------------
 
 def _slice_operator(op):
+    if isinstance(op, ops.SumOp):
+        op = op.relation
     if isinstance(op, ops.LinearMapOp):
         return op
     if isinstance(op, ops.LinearRelationOp):
@@ -379,11 +379,7 @@ def cmd_sumcheck(args):
         print(f"error: no sampled point had a finite value ({report.skipped_points} "
               f"of {report.points_tested} skipped)", file=sys.stderr)
         return EXIT_ANOMALY
-    non_enl = None
-    if cert._both_linear(op_a, op_b):
-        rel = ops.sum_relation(op_a, op_b)
-        if ops.validate(rel).maximal:
-            non_enl = cert.non_enlargeable_linear_relation(rel).verdict
+    non_enl, _ = _non_enlargeable(ops.SumOp((op_a, op_b)))
     worst_resid = max((w[2] for w in report.exactness_witnesses), default=0.0)
     results = {
         "mode": report.mode,

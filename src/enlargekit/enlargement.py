@@ -48,15 +48,6 @@ class EnlargementVerdict:
     method: str
 
 
-def _reduce_linear_sum(op):
-    if isinstance(op, ops.SumOp):
-        t0, t1 = op.terms
-        if isinstance(t0, (ops.LinearMapOp, ops.LinearRelationOp)) and \
-                isinstance(t1, (ops.LinearMapOp, ops.LinearRelationOp)):
-            return ops.sum_relation(t0, t1)
-    return op
-
-
 def enl_member(op: ops.OperatorDescriptor, x, xs, eps,
                count=10000, radius=10.0, seed=0) -> EnlargementVerdict:
     """Decide (x, xs) in gra A_eps for a maximally monotone operator.
@@ -67,14 +58,13 @@ def enl_member(op: ops.OperatorDescriptor, x, xs, eps,
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    reduced = _reduce_linear_sum(op)
-    ops.require_maximal(reduced)
-    n = ops.ambient_dim(reduced)
+    ops.require_maximal(op)
+    n = ops.ambient_dim(op)
     x, xs = as_vector(x, n), as_vector(xs, n)
-    value = fitz_closed_form(reduced, x, xs)
+    value = fitz_closed_form(op, x, xs)
     method = "closed_form"
     if value is None:
-        res = fitz_bruteforce(reduced, x, xs, count=count, radius=radius, seed=seed)
+        res = fitz_bruteforce(op, x, xs, count=count, radius=radius, seed=seed)
         value = math.inf if res.diverging else res.value
         method = "bruteforce"
     slack = -math.inf if math.isinf(value) else pairing(x, xs) + eps - value

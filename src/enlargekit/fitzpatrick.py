@@ -183,11 +183,8 @@ def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
         raise ops.UnsupportedOperatorError(
             "no closed form for p > 1 norm subdifferentials; use fitz_bruteforce")
     if isinstance(op, ops.SumOp):
-        t0, t1 = op.terms
-        if isinstance(t0, (ops.LinearMapOp, ops.LinearRelationOp)) and \
-                isinstance(t1, (ops.LinearMapOp, ops.LinearRelationOp)):
-            rel = ops.sum_relation(t0, t1)
-            return FitzEvaluator(op, "quadratic", _carrier_from_relation(rel))
+        if op.relation is not None:
+            return FitzEvaluator(op, "quadratic", _carrier_from_relation(op.relation))
         raise ops.UnsupportedOperatorError(
             "closed form for sums only when both terms are linear")
     raise ops.UnsupportedOperatorError(f"no evaluator for {type(op).__name__}")

@@ -327,9 +327,15 @@ class NormalConeOp:
 
 @dataclass(frozen=True, eq=False)
 class SumOp:
-    """Pointwise sum of two operators on the same space."""
+    """Pointwise sum of two operators on the same space.
+
+    When both terms are linear maps or relations, A + B is again one linear
+    relation; ``relation`` holds it (built once, here) and every layer
+    treats the sum as that relation.  It is None when a term is not linear.
+    """
 
     terms: tuple
+    relation: Optional[LinearRelationOp] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.terms) != 2:
@@ -337,6 +343,8 @@ class SumOp:
         dims = {ambient_dim(t) for t in self.terms}
         if len(dims) != 1:
             raise DimensionMismatchError("sum terms live in different spaces")
+        linear = all(isinstance(t, (LinearMapOp, LinearRelationOp)) for t in self.terms)
+        object.__setattr__(self, "relation", sum_relation(*self.terms) if linear else None)
 
     @property
     def dim(self):
@@ -428,8 +436,9 @@ def validate(op: OperatorDescriptor) -> ValidationReport:
     Linear relations: monotone iff the induced graph form is PSD; a
     monotone relation is maximal iff its graph has dimension n.
     Subdifferentials and normal cones are maximally monotone outright.
-    For sums, monotonicity of every term is reported (a sufficient
-    condition) and maximality is left to the certificates layer.
+    A linear + linear sum gets the verdict of its sum relation.  For other
+    sums, monotonicity of every term is reported (a sufficient condition)
+    and maximality is left to the certificates layer.
     """
     if isinstance(op, LinearMapOp):
         w, _ = sym_eig(0.5 * (op.matrix + op.matrix.T))
@@ -454,6 +463,8 @@ def validate(op: OperatorDescriptor) -> ValidationReport:
     if isinstance(op, (NormSubdiffOp, NormalConeOp)):
         return ValidationReport(True, True, "subdifferential of a proper lsc convex function")
     if isinstance(op, SumOp):
+        if op.relation is not None:
+            return validate(op.relation)
         terms = [validate(t) for t in op.terms]
         mono = all(t.monotone for t in terms)
         return ValidationReport(mono, None, "sum: maximality resolved by certificates")
@@ -998,11 +1009,6 @@ def _cone_values_at(c, x, ss):
     raise MalformedDescriptorError(f"unknown set {type(c)!r}")
 
 
-def _both_linear(a, b) -> bool:
-    lin = (LinearMapOp, LinearRelationOp)
-    return isinstance(a, lin) and isinstance(b, lin)
-
-
 # A sum whose sampled driver points meet the other term's domain this rarely
 # has too thin a graph to sample: draws stop at this multiple of the count.
 _SUM_DRAW_CAP = 64
@@ -1013,9 +1019,9 @@ def _sample_sum(op: SumOp, count, radius, ss):
     there is one) plus an element of the other term's value there.  Points
     off the other term's domain are dropped, so longer prefixes of the
     driver's sample are drawn until ``count`` points remain."""
+    if op.relation is not None:
+        return _sample(op.relation, count, radius, ss)
     t0, t1 = op.terms
-    if _both_linear(t0, t1):
-        return _sample(sum_relation(t0, t1), count, radius, ss)
     if isinstance(t1, NormalConeOp) and not isinstance(t0, NormalConeOp):
         driver, other = t1, t0
     else:

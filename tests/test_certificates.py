@@ -243,6 +243,33 @@ def test_sum_maximality_uses_its_seed():
     assert sum_maximality(a, cone).detail == first.detail
 
 
+def test_linear_sum_exactness_builds_the_sum_relation_once(monkeypatch):
+    from enlargekit import operators as ops
+    calls = []
+    real = ops.sum_relation
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(ops, "sum_relation", counting)
+    rep = sum_fitz_exactness(LinearMapOp(ROT90), LinearMapOp(np.eye(2)), n_points=6)
+    assert rep.max_gap <= 1e-8 and rep.maximality
+    assert len(calls) == 1
+
+
+def test_sum_maximality_rests_on_points_of_finite_value():
+    # F of {0} x R + N_[-1, 1] is finite only at x = 0, which projections
+    # onto the interval alone never reach
+    c = sum_maximality(vertical_relation(), NormalConeOp(Box([-1.0], [1.0])))
+    worst = float(c.detail.split(";")[0].rsplit("=", 1)[1])
+    assert c.maximal and math.isfinite(worst) and abs(worst) <= 1e-8
+    # the sum {0} x R + N_[1, 2] has an empty graph: no point is finite
+    empty = sum_maximality(vertical_relation(), NormalConeOp(Box([1.0], [2.0])))
+    assert not empty.maximal
+    assert empty.detail.startswith("no sampled point had a finite F")
+
+
 def test_sum_exactness_counts_skipped_cone_points():
     # F of {0} x R is finite only at x = 0, so the inf-convolution is +inf
     # at every test point of the interval off the origin

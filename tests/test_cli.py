@@ -47,6 +47,17 @@ def specs(tmp_path):
         "skew2": mk("skew2.json", {
             "space_dim": 2,
             "operator": {"kind": "linear_map", "matrix": [[0, -2], [2, 0]]}}),
+        # (-1) + (2) on R: the identity, with a term that is not monotone
+        "id_sum": mk("id_sum.json", {
+            "space_dim": 1,
+            "operator": {"kind": "sum", "terms": [
+                {"kind": "linear_map", "matrix": [[-1]]},
+                {"kind": "linear_map", "matrix": [[2]]}]}}),
+        "skew_sum": mk("skew_sum.json", {
+            "space_dim": 2,
+            "operator": {"kind": "sum", "terms": [
+                {"kind": "linear_map", "matrix": [[0, -1], [1, 0]]},
+                {"kind": "linear_map", "matrix": [[0, -2], [2, 0]]}]}}),
     }
 
 
@@ -86,6 +97,17 @@ def test_classify_nonmonotone_exit_2(specs):
     assert proc.returncode == 2
     doc = json.loads(proc.stdout.decode())
     assert doc["results"]["monotone"] is False
+
+
+def test_classify_linear_sum_as_its_sum_relation(specs):
+    res = run_json("classify", specs["id_sum"])["results"]
+    assert res["monotone"] is True and res["maximal"] is True
+    assert res["symmetric"] is True and res["skew"] is False
+    assert res["non_enlargeable"] is False
+    assert "witness" in res
+    res = run_json("classify", specs["skew_sum"])["results"]
+    assert res["maximal"] is True and res["skew"] is True
+    assert res["non_enlargeable"] is True
 
 
 def test_classify_norm_subdiff(specs):
@@ -130,6 +152,16 @@ def test_enlarge_rotation_slice_radius(specs):
                    "--slice-at", "0.2,0.4")
     res = doc["results"]
     assert res["ball_radius"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+
+def test_enlarge_slice_of_a_linear_sum_matches_its_map(specs):
+    got = run_json("enlarge", specs["id_sum"], "--eps", "0.5", "--slice-at", "1")["results"]
+    want = run_json("enlarge", specs["id1"], "--eps", "0.5", "--slice-at", "1")["results"]
+    for key in ("center", "form", "level", "carrier_basis"):
+        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12)
+    assert got["carrier_dim"] == want["carrier_dim"] == 1
+    assert got["center"] == pytest.approx([1.0], abs=1e-12)
+    assert got["level"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_enlarge_norm_subdiff_boundary_point(specs):

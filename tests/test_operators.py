@@ -232,6 +232,25 @@ def test_sum_relation_vertical_plus_zero():
     assert validate(s).maximal
 
 
+def test_sum_with_a_cone_term_has_no_sum_relation():
+    op = SumOp((LinearMapOp(np.eye(2)), NormalConeOp(Ball([0.0, 0.0], 1.0))))
+    assert op.relation is None
+
+
+def test_validate_linear_sum_is_the_verdict_of_its_sum_relation():
+    diagonal = LinearRelationOp.from_graph_columns(
+        np.array([[1.0], [0.0], [1.0], [0.0]]), dim=2)  # monotone, not maximal
+    pairs = [
+        (LinearMapOp([[-1.0]]), LinearMapOp([[2.0]])),
+        (LinearMapOp([[-1.0]]), LinearMapOp([[0.5]])),
+        (LinearMapOp(ROT90), LinearMapOp(2.0 * ROT90)),
+        (zero_times_r(), LinearMapOp(np.zeros((1, 1)))),
+        (diagonal, LinearMapOp(np.zeros((2, 2)))),
+    ]
+    for a, b in pairs:
+        assert validate(SumOp((a, b))) == validate(sum_relation(a, b))
+
+
 def test_relation_as_map_roundtrip():
     a = np.array([[1.0, 2.0], [-1.0, 0.5]])
     rel = LinearRelationOp.from_matrix(a)
