@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .fitzpatrick import fitz_bruteforce, fitz_closed_form, pairing
+from .fitzpatrick import fitz_bruteforce, fitz_closed_form, golden_section, pairing
 from .linalg import (
     Subspace,
     as_vector,
@@ -254,25 +254,6 @@ def normal_cone_enl_member(nc: ops.NormalConeOp, x, xs, eps) -> bool:
 # sampled falsification oracle
 # ---------------------------------------------------------------------------
 
-def _golden_refine(h, lo, hi, iters=80):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = h(c), h(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = h(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = h(d)
-    t = 0.5 * (a + b)
-    return t, h(t)
-
-
 def eps_subdiff_oracle(n: ops.NormSubdiffOp, x, xs, eps,
                        count=2000, radius=16.0, seed=0) -> bool:
     """Necessary-condition check of enlargement membership by sampling.
@@ -318,7 +299,7 @@ def eps_subdiff_oracle(n: ops.NormSubdiffOp, x, xs, eps,
         k = int(np.argmin(vals))
         lo = grid[max(k - 1, 0)]
         hi = grid[min(k + 1, len(grid) - 1)]
-        _, refined = _golden_refine(along, lo, hi)
+        _, refined = golden_section(along, lo, hi)
         worst = min(worst, refined, vals[k])
         if worst < -eps - margin:
             return False

@@ -17,9 +17,10 @@ The function value lives in ]-inf, +inf]; plain floats carry it, with
 ``math.inf`` for the infinite value.
 
 The sampled oracle ``fitz_bruteforce`` maximizes the defining supremum
-over deterministic graph samples, optionally polished by a local
-derivative-free search over the graph's natural parameters.  It always
-returns a lower bound of the true value.
+over deterministic graph samples, optionally polished by the exact
+maximiser over the graph's natural chart (a linear solve for maps and
+relations, the kink pair for p = 1, a 1-D radius search for p > 1).  It
+always returns a lower bound of the true value.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
+# Nothing here calls scipy: the benchmark tracer (perfbench/spans.py) binds
+# fitzpatrick.scipy.optimize.  The bare import loads no submodule.
+import scipy
 
 from . import operators as ops
 from .operators import SolverFailureError
@@ -209,9 +212,10 @@ def fitz_norm_subdiff(op: ops.NormSubdiffOp, x, xs, count=10000, radius=10.0,
                       seed=0) -> float:
     """F of the norm subdifferential.
 
-    Exact for p = 1.  For p > 1 the value comes from the sampled oracle
-    (advisory accuracy ~1e-3 near interior maximizers) and is reported as
-    +inf when the divergence detector fires.
+    Exact for p = 1.  For p > 1 the value comes from the sampled oracle,
+    whose polish solves the 1-D radius reduction (it matches a dense search
+    to ~1e-14 relative), and is reported as +inf when the divergence
+    detector fires.
     """
     if op.p == 1.0:
         return fitz_evaluator(op).evaluate(x, xs)
@@ -259,46 +263,108 @@ def _sampled_sup(op, x, xs, count, radius, seed):
     return float(vals[k]), (a[k].copy(), astar[k].copy())
 
 
-def _chart_polish(op, obj, start_pair, maxiter=400):
-    """Local derivative-free refinement over the graph's natural parameters.
+def golden_section(h, lo, hi, iters=80):
+    """Golden-section search for a minimiser of ``h`` on [lo, hi]; returns
+    (t, h(t)).  Exact for unimodal ``h``; elsewhere a local minimiser inside
+    the bracket."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = h(c), h(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = h(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = h(d)
+    t = 0.5 * (a + b)
+    return t, h(t)
 
-    Every candidate evaluated is a genuine graph point, so the refined
-    value remains a lower bound of the true supremum.
+
+def _linear_chart_max(op, x, xs):
+    """On the chart t -> (U t, V t) the objective is c't - t'Wt with
+    c = V'x + U'x*, maximised at t = W^+ c / 2 (a lower bound of F when c
+    is off ran W, where F = +inf).  None for a non-monotone operator."""
+    try:
+        cq = _carrier_from_map(op) if isinstance(op, ops.LinearMapOp) \
+            else _carrier_from_relation(op)
+    except ops.NotMonotoneError:
+        return None
+    t = 0.5 * (cq.p @ cq.c_of(x, xs))
+    return cq.u @ t, cq.v @ t
+
+
+# The p > 1 radius search: a log-spaced grid of this many decades below the
+# radius past which the objective is negative, at this many points a decade.
+# The grid stops at 10^100 so that its squares stay finite; a maximiser
+# beyond that (p near 1 with ||x*|| > 1/2) leaves a lower bound, as every
+# candidate is.
+_RADIUS_DECADES = 16
+_RADIUS_PER_DECADE = 20
+_RADIUS_LOG10_CAP = 100.0
+
+
+def _power_chart_max(p, x, xs):
+    """Maximiser over the graph {(y, ||y||^(p-2) y)}, p > 1.
+
+    For ||y|| = r the best y is aligned with v(r) = r^(p-1) x + r x*, which
+    leaves h(r) = ||v(r)|| - r^p (Bauschke-McLaren-Sendov, J. Convex Anal.
+    2006).  h < 0 past r_max = max(2||x||, (2||x*||)^(1/(p-1))), so r = 0, a
+    log grid on (0, r_max] and a golden-section search around its best
+    point find the supremum.
     """
-    charts = []
-    a0, astar0 = start_pair
-    if isinstance(op, ops.LinearMapOp):
-        charts.append((a0, lambda y: (y, op.matrix @ y)))
-    elif isinstance(op, ops.LinearRelationOp):
-        u, v = op.u_block, op.v_block
-        t0 = op.graph.coordinates(np.concatenate([a0, astar0]))
-        charts.append((t0, lambda t: (u @ t, v @ t)))
+    nx2, ns2, cross = float(x @ x), float(xs @ xs), float(x @ xs)
+    zero = (np.zeros_like(x), np.zeros_like(x))
+    with np.errstate(divide="ignore"):
+        top = min(max(np.log10(2.0 * math.sqrt(nx2)),
+                      np.log10(2.0 * math.sqrt(ns2)) / (p - 1.0)), _RADIUS_LOG10_CAP)
+    if not np.isfinite(top):
+        return zero  # x = x* = 0
+
+    def h(r):
+        a = r ** (p - 1.0)
+        return np.sqrt(np.maximum(a * a * nx2 + 2.0 * a * r * cross + r * r * ns2, 0.0)) - r ** p
+
+    radii = np.concatenate([[0.0], np.logspace(
+        top - _RADIUS_DECADES, top, _RADIUS_DECADES * _RADIUS_PER_DECADE + 1)])
+    vals = h(radii)
+    k = int(np.argmax(vals))
+    r, _ = golden_section(lambda t: -h(t), radii[max(k - 1, 0)],
+                          radii[min(k + 1, radii.size - 1)])
+    if h(r) < vals[k]:
+        r = radii[k]
+    v = r ** (p - 1.0) * x + r * xs
+    nv = float(np.linalg.norm(v))
+    if nv == 0.0:
+        return zero
+    u = v / nv
+    return r * u, r ** (p - 1.0) * u
+
+
+def _chart_polish(op, x, xs):
+    """The exact maximiser of <x, a*> + <a, x*> - <a, a*> over the graph's
+    natural chart: linear maps and relations, and norm subdifferentials
+    (for p = 1 the kink pair (0, x/||x||), whose value is ||x||).
+
+    Every candidate is a genuine graph point, so the value remains a lower
+    bound of the true supremum; (-inf, None) when there is no candidate.
+    """
+    if isinstance(op, (ops.LinearMapOp, ops.LinearRelationOp)):
+        pair = _linear_chart_max(op, x, xs)
+    elif isinstance(op, ops.NormSubdiffOp) and op.p == 1.0:
+        nx = float(np.linalg.norm(x))
+        pair = (np.zeros_like(x), x / nx if nx > 0 else np.zeros_like(x))
     elif isinstance(op, ops.NormSubdiffOp):
-        if float(np.linalg.norm(a0)) > 0:
-            charts.append((a0, lambda y: (y, op.gradient(y))
-                           if np.linalg.norm(y) > 0 else (y, np.zeros_like(y))))
-        if op.p == 1.0:
-            def ball_chart(u):
-                nu = float(np.linalg.norm(u))
-                return np.zeros_like(u), (u if nu <= 1.0 else u / nu)
-            charts.append((astar0 if np.linalg.norm(a0) == 0 else np.zeros(op.dim),
-                           ball_chart))
+        pair = _power_chart_max(op.p, x, xs)
     else:
+        pair = None
+    if pair is None:
         return -math.inf, None
-    best, best_pair = -math.inf, None
-    for t0, chart in charts:
-        def neg(t):
-            a, astar = chart(np.asarray(t, float))
-            return -obj(a, astar)
-        res = scipy.optimize.minimize(
-            neg, t0, method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": maxiter,
-                     "maxfev": 4 * maxiter})
-        a, astar = chart(np.asarray(res.x, float))
-        v = obj(a, astar)
-        if v > best:
-            best, best_pair = v, (a, astar)
-    return best, best_pair
+    return _objective(x, xs)(*pair), pair
 
 
 def _sum_cone_polish(op, x, xs):
@@ -363,11 +429,14 @@ def fitz_bruteforce(op, x, xs, count=10000, radius=10.0, seed=0, polish=True,
     Each sampling pass draws ``count`` graph pairs as one array and takes
     the objective's maximum in one vectorised expression.  When the query
     pair itself lies on the graph it joins the candidate set, which pins
-    the value to the pairing there.  The result is always a lower bound of
-    the true F; ``diverging`` flags the indicator-type +inf suspicion from
-    the sups at radius x1, x2 and x4.  The x1 sup is the first pass, so a
-    call draws 3 * ``count`` pairs with the divergence check and ``count``
-    without it.
+    the value to the pairing there.  With ``polish`` the exact chart
+    maximiser joins it too (:func:`_chart_polish`, or
+    :func:`_sum_cone_polish` for a sum), so a finite F of a linear map or
+    relation or a norm subdifferential is attained up to rounding.  The
+    result is always a lower bound of the true F; ``diverging`` flags the
+    indicator-type +inf suspicion from the sups at radius x1, x2 and x4.
+    The x1 sup is the first pass, so a call draws 3 * ``count`` pairs with
+    the divergence check and ``count`` without it.
     """
     x = as_vector(x, ops.ambient_dim(op))
     xs = as_vector(xs, ops.ambient_dim(op))
@@ -379,10 +448,8 @@ def fitz_bruteforce(op, x, xs, count=10000, radius=10.0, seed=0, polish=True,
         if v > best:
             best, best_pair = v, (x, xs)
     if polish:
-        if isinstance(op, ops.SumOp):
-            pv, pp = _sum_cone_polish(op, x, xs)
-        else:
-            pv, pp = _chart_polish(op, obj, best_pair)
+        polisher = _sum_cone_polish if isinstance(op, ops.SumOp) else _chart_polish
+        pv, pp = polisher(op, x, xs)
         if pp is not None and pv > best:
             best, best_pair = pv, pp
     trend = [(radius, best)]

@@ -147,6 +147,25 @@ def test_fitz_bad_point_exit_1(specs):
     assert proc.returncode == 1
 
 
+def test_fitz_and_enlarge_leave_scipy_optimize_unloaded(tmp_path):
+    # the chart polish is numpy alone: no command imports scipy.optimize
+    map_spec = write_spec(tmp_path, "map.json", {
+        "space_dim": 2,
+        "operator": {"kind": "linear_map", "matrix": [[2, -1], [1, 1]]}})
+    norm_spec = write_spec(tmp_path, "norm.json", {
+        "space_dim": 2, "operator": {"kind": "norm_subdiff", "p": 1.5}})
+    code = ("import sys\n"
+            "import enlargekit.cli as cli\n"
+            f"a = cli.main(['fitz', {map_spec!r}, '--point', '1,0,0.5,1',\n"
+            "              '--bruteforce', '500', '4.0', '--seed', '1'])\n"
+            f"b = cli.main(['enlarge', {norm_spec!r}, '--point', '1,0,0.5,1',\n"
+            "              '--eps', '0.5', '--seed', '1'])\n"
+            "print(a, b, 'scipy.optimize' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1].split() == ["0", "0", "False"]
+
+
 def test_enlarge_rotation_slice_radius(specs):
     doc = run_json("enlarge", specs["rot60"], "--eps", "1",
                    "--slice-at", "0.2,0.4")

@@ -12,6 +12,7 @@ from enlargekit.operators import (
     NormSubdiffOp,
     NormalConeOp,
     SumOp,
+    graph_member,
     sample_graph,
 )
 from enlargekit.fitzpatrick import (
@@ -217,6 +218,127 @@ def test_fitz_norm_subdiff_p2_matches_identity():
     val = fitz_norm_subdiff(op, x, xs, count=8000, radius=8.0, seed=0)
     expected = 0.25 * float(np.linalg.norm(x + xs) ** 2)
     assert val == pytest.approx(expected, abs=1e-3)
+
+
+# --- exact chart polish ------------------------------------------------------
+
+def _close_rel(got, want, rtol):
+    return abs(got - want) <= rtol * (1.0 + abs(want))
+
+
+def _on_carrier(u, v, x, xs):
+    """Move (x, xs) so that c = V'x + U'xs lies in ran W: then F is finite.
+    Adding (V d, U d) adds (U'U + V'V) d to c."""
+    w = 0.5 * (u.T @ v + v.T @ u)
+    c = v.T @ x + u.T @ xs
+    d = np.linalg.solve(u.T @ u + v.T @ v, w @ np.linalg.pinv(w) @ c - c)
+    return x + v @ d, xs + u @ d
+
+
+def test_polish_attains_closed_form_of_maps():
+    from enlargekit.certificates import random_monotone_matrix
+    rng = np.random.default_rng(21)
+    mats = [ROT90, np.diag([1.0, 0.0]), np.array([[1.0, -3.0], [3.0, 0.0]])]
+    mats += [random_monotone_matrix(n, rng, rank_deficient=rd).matrix
+             for n in (2, 3, 4) for rd in (False, True)]
+    for m in mats:
+        op = LinearMapOp(m)
+        n = op.dim
+        for _ in range(4):
+            x, xs = _on_carrier(np.eye(n), m, rng.normal(size=n) * 2, rng.normal(size=n) * 2)
+            want = fitz_linear_map(op, x, xs)
+            assert math.isfinite(want)
+            res = fitz_bruteforce(op, x, xs, count=500, radius=4.0, seed=1,
+                                  divergence_check=False)
+            assert _close_rel(res.value, want, 1e-12)
+            assert graph_member(op, *res.best_pair)
+
+
+def test_polish_attains_closed_form_of_relations():
+    from enlargekit.certificates import random_maximal_monotone_relation
+    rng = np.random.default_rng(22)
+    rels = [vertical_relation(), LinearRelationOp.from_matrix(ROT90)]
+    rels += [random_maximal_monotone_relation(n, rng) for n in (2, 3, 4) for _ in range(2)]
+    for op in rels:
+        n = op.dim
+        for _ in range(4):
+            x, xs = _on_carrier(op.u_block, op.v_block,
+                                rng.normal(size=n) * 2, rng.normal(size=n) * 2)
+            want = fitz_linear_relation(op, x, xs)
+            assert math.isfinite(want)
+            res = fitz_bruteforce(op, x, xs, count=500, radius=4.0, seed=2,
+                                  divergence_check=False)
+            assert _close_rel(res.value, want, 1e-12)
+            assert graph_member(op, *res.best_pair)
+
+
+def test_polish_attains_norm_for_p1():
+    op = NormSubdiffOp(dim=3, p=1.0)
+    rng = np.random.default_rng(23)
+    for scale in (0.0, 0.01, 1.0, 5.0):
+        for _ in range(3):
+            x = rng.normal(size=3) * scale
+            xs = rng.normal(size=3)
+            xs *= rng.uniform(0.0, 1.0) / np.linalg.norm(xs)
+            res = fitz_bruteforce(op, x, xs, count=500, radius=4.0, seed=3,
+                                  divergence_check=False)
+            assert abs(res.value - float(np.linalg.norm(x))) <= 1e-12 * (1.0 + np.linalg.norm(x))
+            assert graph_member(op, *res.best_pair)
+
+
+def _dense_power_fitz(x, xs, p):
+    """sup over r >= 0 of ||r^(p-1) x + r xs|| - r^p: a 200001-point log grid
+    over twenty decades below a radius past which the objective is negative,
+    then a 20001-point linear grid between the neighbours of its three best
+    points."""
+    def h(r):
+        pts = np.multiply.outer(r ** (p - 1.0), x) + np.multiply.outer(r, xs)
+        return np.linalg.norm(pts, axis=-1) - r ** p
+
+    top = max(4.0 * np.linalg.norm(x), (4.0 * np.linalg.norm(xs)) ** (1.0 / (p - 1.0)))
+    radii = np.geomspace(top * 1e-20, top, 200001)
+    vals = h(radii)
+    best = max(0.0, float(np.max(vals)))
+    for k in np.argsort(vals)[-3:]:
+        fine = np.linspace(radii[max(k - 1, 0)], radii[min(k + 1, radii.size - 1)], 20001)
+        best = max(best, float(np.max(h(fine))))
+    return best
+
+
+@pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 2.0, 3.0, 6.0])
+def test_polish_attains_dense_search_for_p_above_1(p):
+    op = NormSubdiffOp(dim=2, p=p)
+    rng = np.random.default_rng(int(p * 100))
+    pairs = []
+    for nx, ns in [(0.01, 0.01), (5.0, 0.01), (0.01, 5.0), (5.0, 5.0), (1.0, 2.0), (6.6, 2.2)]:
+        x, xs = rng.normal(size=2), rng.normal(size=2)
+        pairs.append((x * nx / np.linalg.norm(x), xs * ns / np.linalg.norm(xs)))
+    # xs against x: h has a bump at small r and one at large r, which a
+    # linear radius grid up to r_max steps over when p is near 1
+    unit, turn = np.array([0.6, 0.8]), np.array([[-0.95, -0.31], [0.31, -0.95]])
+    for nx in (1.0, 5.0):
+        pairs += [(nx * unit, -1.2 * unit), (nx * unit, 1.2 * turn @ unit)]
+    for x, xs in pairs:
+        want = _dense_power_fitz(x, xs, p)
+        res = fitz_bruteforce(op, x, xs, count=500, radius=4.0, seed=4,
+                              divergence_check=False)
+        assert _close_rel(res.value, want, 1e-10), (x, xs, res.value, want)
+        assert graph_member(op, *res.best_pair)
+
+
+def test_bruteforce_stays_finite_where_f_is_not():
+    # F = +inf at each query: a non-monotone map (no chart candidate), a
+    # point off the carrier of a skew map, and p = 1 with ||xs|| > 1
+    cases = [
+        (LinearMapOp(np.diag([-1.0, 1.0])), [1.0, 0.5], [0.3, -0.2]),
+        (LinearMapOp(ROT90), [1.0, 0.0], [0.5, 1.5]),
+        (NormSubdiffOp(dim=2, p=1.0), [1.0, -0.5], [1.5, 1.0]),
+    ]
+    for op, x, xs in cases:
+        res = fitz_bruteforce(op, x, xs, count=2000, radius=4.0, seed=0)
+        assert math.isfinite(res.value) and abs(res.value) < 1e3
+        assert res.diverging
+        assert graph_member(op, *res.best_pair)
 
 
 # --- partial inf-convolution -------------------------------------------------
