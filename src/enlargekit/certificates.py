@@ -26,7 +26,6 @@ import numpy as np
 
 from . import operators as ops
 from .fitzpatrick import (
-    SolverConfig,
     fitz_bruteforce,
     fitz_evaluator,
     pairing,
@@ -36,6 +35,11 @@ from .linalg import Subspace, as_vector, contains as span_contains, orthonormali
 
 SIDE_CLAIM_TOL = 1e-10
 INCLUSION_TOL = 1e-9
+
+# interior_domain_check: depth of an interior point; draws and seed of its search.
+INTERIOR_MARGIN = 1e-6
+INTERIOR_BUDGET = 2000
+INTERIOR_SEED = 0
 
 
 class GraphNotAffineError(ValueError):
@@ -123,7 +127,7 @@ def non_enlargeable_affine(op: ops.OperatorDescriptor, base,
     most an n-dimensional subspace and sampled midpoints must stay on the
     graph (convexity); either failure raises GraphNotAffineError.
     """
-    n = ops.ambient_dim(op)
+    n = op.dim
     bx, bxs = as_vector(base[0], n), as_vector(base[1], n)
     if not ops.graph_member(op, bx, bxs, tol=1e-8):
         raise PreconditionFailedError("base point is not on the graph")
@@ -181,7 +185,7 @@ def fitz_singleton_check(op, n_samples=150, seed=0) -> SingletonCheckReport:
     off_ok = True
     example = None
     for x, xs in ops.sample_graph(op, n_samples, 3.0, seed + 1):
-        d = rng.normal(size=ops.ambient_dim(op))
+        d = rng.normal(size=op.dim)
         d /= max(np.linalg.norm(d), 1e-12)
         probe = xs + 0.5 * d
         if ops.graph_member(op, x, probe, tol=1e-7):
@@ -225,8 +229,7 @@ class SumCheckReport:
     skipped_points: int = 0  # cone-sum points left unchecked (rhs = +inf)
 
 
-def interior_domain_check(a, c: ops.ConvexSetDescriptor,
-                          margin=1e-6, budget=2000, seed=0):
+def interior_domain_check(a, c: ops.ConvexSetDescriptor):
     """Does dom A meet the interior of C?  True / False / None (inconclusive).
 
     Exact for full-dimensional domains, the zero domain and line domains
@@ -236,30 +239,21 @@ def interior_domain_check(a, c: ops.ConvexSetDescriptor,
     if isinstance(c, ops.Polytope):
         return None  # V-representation offers no cheap interior test
     d = ops.dom_subspace(a)
-    if _strictly_inside(c, np.zeros(c.dim), margin):
+    if c.contains(np.zeros(c.dim), tol=-INTERIOR_MARGIN):
         return True
     if d.dim == 0:
         return False
     if d.dim == c.dim:
         return True  # ball/box descriptors always have interior points
     if d.dim == 1:
-        return _line_meets_interior(c, d.basis[:, 0], margin)
-    rng = np.random.default_rng(seed)
+        return _line_meets_interior(c, d.basis[:, 0])
+    rng = np.random.default_rng(INTERIOR_SEED)
     scale = _set_extent(c)
-    for _ in range(budget):
+    for _ in range(INTERIOR_BUDGET):
         t = rng.normal(size=d.dim)
-        point = d.basis @ (t * scale)
-        if _strictly_inside(c, point, margin):
+        if c.contains(d.basis @ (t * scale), tol=-INTERIOR_MARGIN):
             return True
     return None
-
-
-def _strictly_inside(c, x, margin):
-    if isinstance(c, ops.Ball):
-        return float(np.linalg.norm(x - c.center)) < c.radius - margin
-    if isinstance(c, ops.Box):
-        return bool(np.all(x > c.lo + margin) and np.all(x < c.hi - margin))
-    raise ops.UnsupportedOperatorError("interior tests cover balls and boxes")
 
 
 def _set_extent(c):
@@ -270,19 +264,19 @@ def _set_extent(c):
     raise ops.UnsupportedOperatorError("sum certificates cover balls and boxes")
 
 
-def _line_meets_interior(c, direction, margin):
+def _line_meets_interior(c, direction):
     if isinstance(c, ops.Ball):
         # |t d - center|^2 < (r - margin)^2 for some t
         b = -2.0 * float(direction @ c.center)
-        cc = float(c.center @ c.center) - (c.radius - margin) ** 2
+        cc = float(c.center @ c.center) - (c.radius - INTERIOR_MARGIN) ** 2
         return b * b - 4.0 * cc > 0.0
     lo_t, hi_t = -math.inf, math.inf
     for di, li, hi_ in zip(direction, c.lo, c.hi):
         if abs(di) <= 1e-14:
-            if not (li + margin < 0.0 < hi_ - margin):
+            if not (li + INTERIOR_MARGIN < 0.0 < hi_ - INTERIOR_MARGIN):
                 return False
             continue
-        t1, t2 = float((li + margin) / di), float((hi_ - margin) / di)
+        t1, t2 = float((li + INTERIOR_MARGIN) / di), float((hi_ - INTERIOR_MARGIN) / di)
         lo_t = max(lo_t, min(t1, t2))
         hi_t = min(hi_t, max(t1, t2))
     return bool(lo_t < hi_t)
@@ -305,20 +299,23 @@ def sum_maximality(a, b, seed=1) -> MaximalityCertificate:
             bool(rep.monotone and rep.maximal), True,
             f"dim gra(A+B) = {rel.graph.dim} (n = {rel.dim})")
     lin, cone = _split_linear_cone(a, b)
-    hyp = interior_domain_check(lin, cone.set)
     fa, fc = fitz_evaluator(lin), fitz_evaluator(cone)
-    worst = math.inf
-    for z, zs in _sum_points(sum_op, 60, seed):
-        res = partial_inf_conv(fa, fc, z, zs)
-        if math.isfinite(res.value):
-            worst = min(worst, res.value - pairing(z, zs))
+    values = [(partial_inf_conv(fa, fc, z, zs).value, pairing(z, zs))
+              for z, zs in _sum_points(sum_op, 60, seed)]
+    return _sampled_maximality(values, interior_domain_check(lin, cone.set))
+
+
+def _sampled_maximality(values, hyp) -> MaximalityCertificate:
+    """Verdict from (F, pairing) at the cone-sum test points: True when the
+    least finite F - pairing is >= -1e-8 and the interior hypothesis ``hyp``
+    holds; False when no F is finite (no evidence)."""
+    worst = min((f - p for f, p in values if math.isfinite(f)), default=math.inf)
     if math.isinf(worst):
         return MaximalityCertificate(
             False, False,
             f"no sampled point had a finite F; interior hypothesis: {hyp}")
-    ok = worst >= -1e-8
     return MaximalityCertificate(
-        bool(ok and hyp is True), False,
+        bool(worst >= -1e-8 and hyp is True), False,
         f"sampled min of F - pairing = {worst:.3e}; interior hypothesis: {hyp}")
 
 
@@ -358,7 +355,7 @@ def _sum_points(op: ops.SumOp, n_points, seed):
                 pts.append((rng.normal(size=n) * 2, rng.normal(size=n) * 2))
         return pts
     lin, cone = _split_linear_cone(*op.terms)
-    n = ops.ambient_dim(lin)
+    n = lin.dim
     dom = ops.dom_subspace(lin)
     pts = []
     while len(pts) < n_points:
@@ -368,7 +365,7 @@ def _sum_points(op: ops.SumOp, n_points, seed):
         elif kind == 1:
             d = rng.normal(size=n)
             d /= max(np.linalg.norm(d), 1e-12)
-            z = ops._support_points(cone.set, d[None, :])[0]
+            z = cone.set.support_points(d[None, :])[0]
         else:
             z = cone.set.interior_point() + 0.1 * rng.normal(size=n)
             if dom.dim < n:
@@ -379,8 +376,7 @@ def _sum_points(op: ops.SumOp, n_points, seed):
     return pts
 
 
-def sum_fitz_exactness(a, b, n_points=100, seed=0,
-                       solver_cfg: SolverConfig = SolverConfig()) -> SumCheckReport:
+def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
     """Compare F of the sum against the partial inf-convolution of the
     summands at sampled points, recording the worst gap and the exactness
     witnesses of every finite inf-convolution value.
@@ -390,6 +386,11 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0,
     hypothesis flags the report as advisory but the check still runs.
     Cone-sum points where the inf-convolution is +inf cannot be checked
     against a sampled lower bound; ``skipped_points`` counts them.
+
+    ``maximality`` is exact for a linear + linear sum.  For a cone sum it is
+    the sampled certificate of :func:`sum_maximality` on the inf-convolution
+    values above: their points are the first ``n_points`` of the stream
+    from which :func:`sum_maximality` (same seed) draws 60.
     """
     fa, fb = fitz_evaluator(a), fitz_evaluator(b)
     sum_op = ops.SumOp((a, b))
@@ -408,6 +409,7 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0,
         notes = f"interior-domain check: {hyp}"
     max_gap = 0.0
     witnesses = []
+    values = []  # (F, pairing) of the cone sum, for its maximality
     skipped = 0
     points = _sum_points(sum_op, n_points, seed)
     for idx, (z, zs) in enumerate(points):
@@ -417,7 +419,8 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0,
             res = fitz_bruteforce(sum_op, z, zs, count=2000, radius=8.0,
                                   seed=seed + idx, divergence_check=False)
             lhs = res.value
-        rhs = partial_inf_conv(fa, fb, z, zs, solver_cfg)
+        rhs = partial_inf_conv(fa, fb, z, zs)
+        values.append((rhs.value, pairing(z, zs)))
         if math.isinf(rhs.value) and not both_linear:
             # the sampled lhs of a cone sum cannot certify +inf
             skipped += 1
@@ -434,7 +437,7 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0,
         max_gap=max_gap, points_tested=len(points),
         exactness_witnesses=witnesses,
         maximality=(ops.validate(sum_op).maximal if both_linear
-                    else sum_maximality(a, b, seed=seed).maximal),
+                    else _sampled_maximality(values, hyp).maximal),
         hypothesis_ok=hypothesis_ok, mode=mode, notes=notes,
         skipped_points=skipped)
 

@@ -242,7 +242,7 @@ def cmd_classify(args):
 
 def cmd_fitz(args):
     op, raw = load_spec(args.spec)
-    n = ops.ambient_dim(op)
+    n = op.dim
     point = _parse_floats(args.point, 2 * n, "--point")
     x, xs = point[:n], point[n:]
     count, radius = int(args.bruteforce[0]), float(args.bruteforce[1])
@@ -305,7 +305,7 @@ def _write_boundary_csv(path, x, points):
 
 def cmd_enlarge(args):
     op, raw = load_spec(args.spec)
-    n = ops.ambient_dim(op)
+    n = op.dim
     if args.eps < 0:
         raise InputError("eps must be nonnegative")
     if (args.point is None) == (args.slice_at is None):
@@ -366,7 +366,7 @@ def cmd_enlarge(args):
 def cmd_sumcheck(args):
     op_a, raw_a = load_spec(args.spec_a)
     op_b, raw_b = load_spec(args.spec_b)
-    if ops.ambient_dim(op_a) != ops.ambient_dim(op_b):
+    if op_a.dim != op_b.dim:
         raise InputError("operand spaces differ")
     try:
         report = cert.sum_fitz_exactness(op_a, op_b, n_points=args.points,

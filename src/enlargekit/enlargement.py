@@ -59,7 +59,7 @@ def enl_member(op: ops.OperatorDescriptor, x, xs, eps,
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     ops.require_maximal(op)
-    n = ops.ambient_dim(op)
+    n = op.dim
     x, xs = as_vector(x, n), as_vector(xs, n)
     value = fitz_closed_form(op, x, xs)
     method = "closed_form"

@@ -3,11 +3,11 @@ partial inf-convolution of two evaluators.
 
 Closed forms implemented here:
 
-* linear monotone map ``A``:   F(x, x*) = (1/4) c' S c  with  c = x* + A'x,
-  S the pseudoinverse of the symmetric part ``(A + A')/2``; the value is
-  finite exactly when c lies in the range of the symmetric part.
-* monotone linear relation with orthonormal graph basis stacked as (U; V):
-  same formula with  c = V'x + U'x*  and the form  W = (U'V + V'U)/2.
+* monotone linear relation with graph chart t -> (U t, V t):
+  F(x, x*) = (1/4) c' W^+ c  with  c = V'x + U'x*  and the form
+  W = (U'V + V'U)/2; the value is finite exactly when c lies in ran W.
+  A linear map A is the relation charted by U = I, V = A, so there
+  c = x* + A'x and W is the symmetric part ``(A + A')/2``.
 * normal cone of a bounded closed convex set C:  indicator(x in C) +
   support_C(x*).
 * subdifferential of the Euclidean norm (p = 1):  ||x|| + indicator of the
@@ -26,7 +26,7 @@ always returns a lower bound of the true value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -123,13 +123,9 @@ class CarrierQuadratic:
         return 0.25 * float(c @ self.p @ c)
 
 
-def _carrier_from_map(op: ops.LinearMapOp) -> CarrierQuadratic:
-    ops.require_monotone(op)
-    n = op.dim
-    return CarrierQuadratic.build(np.eye(n), op.matrix)
-
-
-def _carrier_from_relation(op: ops.LinearRelationOp) -> CarrierQuadratic:
+def _carrier(op) -> CarrierQuadratic:
+    """Carrier quadratic of a monotone linear map or relation, built on the
+    chart (``u_block``, ``v_block``) of its graph."""
     ops.require_monotone(op)
     return CarrierQuadratic.build(op.u_block, op.v_block)
 
@@ -152,7 +148,7 @@ class FitzEvaluator:
 
     @property
     def dim(self) -> int:
-        return ops.ambient_dim(self.operator)
+        return self.operator.dim
 
     def evaluate(self, x, xs, tol=CARRIER_TOL) -> float:
         x = as_vector(x, self.dim)
@@ -174,10 +170,8 @@ class FitzEvaluator:
 def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
     """Build the closed-form evaluator; raises UnsupportedOperatorError when
     the zoo offers none (p > 1 subdifferentials, non-linear sums)."""
-    if isinstance(op, ops.LinearMapOp):
-        return FitzEvaluator(op, "quadratic", _carrier_from_map(op))
-    if isinstance(op, ops.LinearRelationOp):
-        return FitzEvaluator(op, "quadratic", _carrier_from_relation(op))
+    if isinstance(op, (ops.LinearMapOp, ops.LinearRelationOp)):
+        return FitzEvaluator(op, "quadratic", _carrier(op))
     if isinstance(op, ops.NormalConeOp):
         return FitzEvaluator(op, "indicator_support", op.set)
     if isinstance(op, ops.NormSubdiffOp):
@@ -187,7 +181,7 @@ def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
             "no closed form for p > 1 norm subdifferentials; use fitz_bruteforce")
     if isinstance(op, ops.SumOp):
         if op.relation is not None:
-            return FitzEvaluator(op, "quadratic", _carrier_from_relation(op.relation))
+            return FitzEvaluator(op, "quadratic", _carrier(op.relation))
         raise ops.UnsupportedOperatorError(
             "closed form for sums only when both terms are linear")
     raise ops.UnsupportedOperatorError(f"no evaluator for {type(op).__name__}")
@@ -195,13 +189,11 @@ def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
 
 def fitz_linear_map(op: ops.LinearMapOp, x, xs) -> float:
     """F_A(x, x*) for a monotone linear map (see module docstring)."""
-    return _carrier_from_map(op).evaluate(
-        as_vector(x, op.dim), as_vector(xs, op.dim))
+    return _carrier(op).evaluate(as_vector(x, op.dim), as_vector(xs, op.dim))
 
 
 def fitz_linear_relation(op: ops.LinearRelationOp, x, xs) -> float:
-    return _carrier_from_relation(op).evaluate(
-        as_vector(x, op.dim), as_vector(xs, op.dim))
+    return _carrier(op).evaluate(as_vector(x, op.dim), as_vector(xs, op.dim))
 
 
 def fitz_normal_cone(op: ops.NormalConeOp, x, xs, tol=CARRIER_TOL) -> float:
@@ -290,8 +282,7 @@ def _linear_chart_max(op, x, xs):
     c = V'x + U'x*, maximised at t = W^+ c / 2 (a lower bound of F when c
     is off ran W, where F = +inf).  None for a non-monotone operator."""
     try:
-        cq = _carrier_from_map(op) if isinstance(op, ops.LinearMapOp) \
-            else _carrier_from_relation(op)
+        cq = _carrier(op)
     except ops.NotMonotoneError:
         return None
     t = 0.5 * (cq.p @ cq.c_of(x, xs))
@@ -438,8 +429,8 @@ def fitz_bruteforce(op, x, xs, count=10000, radius=10.0, seed=0, polish=True,
     The x1 sup is the first pass, so a call draws 3 * ``count`` pairs with
     the divergence check and ``count`` without it.
     """
-    x = as_vector(x, ops.ambient_dim(op))
-    xs = as_vector(xs, ops.ambient_dim(op))
+    x = as_vector(x, op.dim)
+    xs = as_vector(xs, op.dim)
     obj = _objective(x, xs)
     best, best_pair = _sampled_sup(op, x, xs, count, radius, seed)
     sup_1x = best
@@ -467,11 +458,10 @@ def fitz_bruteforce(op, x, xs, count=10000, radius=10.0, seed=0, polish=True,
 # partial inf-convolution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-8
-    max_iter: int = 100000
-    dr_step: float = 1.0
+# Douglas-Rachford: residual to stop at, iterations before it raises, step.
+DR_TOL = 1e-8
+DR_MAX_ITER = 100000
+DR_STEP = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -617,26 +607,24 @@ def _exact_quad_quad(p1: _QuadPiece, p2: _QuadPiece, n):
     return vstar, resid
 
 
-def _douglas_rachford(pf, pg, y, cfg: SolverConfig):
+def _douglas_rachford(pf, pg, y):
     """Douglas-Rachford on f + g with exact proxes; returns (v, residual)."""
     z = 0.5 * y
-    t = cfg.dr_step
     v_f = z
     resid = math.inf
-    for _ in range(cfg.max_iter):
-        v_g = pg.prox(z, t)
-        v_f = pf.prox(2.0 * v_g - z, t)
+    for _ in range(DR_MAX_ITER):
+        v_g = pg.prox(z, DR_STEP)
+        v_f = pf.prox(2.0 * v_g - z, DR_STEP)
         z = z + v_f - v_g
         resid = float(np.linalg.norm(v_f - v_g))
-        if resid <= cfg.tol:
+        if resid <= DR_TOL:
             return v_f, resid
     raise SolverFailureError(
-        f"inner minimization residual {resid:.3e} above {cfg.tol:.1e} "
-        f"after {cfg.max_iter} iterations")
+        f"inner minimization residual {resid:.3e} above {DR_TOL:.1e} "
+        f"after {DR_MAX_ITER} iterations")
 
 
-def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y,
-                     cfg: SolverConfig = SolverConfig()) -> InfConvResult:
+def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResult:
     """(F1 box_2 F2)(x, y) = inf over v of F1(x, y - v) + F2(x, v).
 
     Two quadratic pieces meet in an exact linear solve on the intersection
@@ -667,6 +655,6 @@ def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y,
             pf, pg = p1, p2
         if isinstance(pf, _QuadPiece) and pf.feasible_point() is None:
             return InfConvResult(math.inf, None, 0.0)
-        vstar, resid = _douglas_rachford(pf, pg, y, cfg)
+        vstar, resid = _douglas_rachford(pf, pg, y)
     value = f1.evaluate(x, y - vstar, tol=1e-7) + f2.evaluate(x, vstar, tol=1e-7)
     return InfConvResult(float(value), vstar, resid)

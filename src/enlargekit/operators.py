@@ -6,6 +6,11 @@ norm subdifferentials, normal cones of bounded convex sets, and binary
 sums.  A sixth plumbing variant translates a graph by a fixed pair, which
 is what the affine-shift certificates operate on.
 
+A linear map is the relation with graph {(x, A x)}, charted by U = I and
+V = A.  Monotonicity, symmetry, skewness, the domain and the Fitzpatrick
+carrier read the chart (U, V) of either form; application and sampling
+keep a matrix branch for maps.  Each convex set owns its normal-cone helpers.
+
 All descriptors are immutable; every operation is pure given an explicit
 seed, so concurrent use needs no synchronization.
 """
@@ -67,6 +72,13 @@ class SolverFailureError(RuntimeError):
 # ---------------------------------------------------------------------------
 # convex set descriptors
 # ---------------------------------------------------------------------------
+#
+# Besides support, contains, project and interior_point, each set C answers
+# what its normal cone needs: normal_cone_value(x) is N_C(x) as a set value;
+# inset_points(m, ss) gives m seeded points of C; support_points(d) a
+# maximiser of <., d_i> over C per unit row d_i (so every s d_i, s >= 0, is
+# a normal there); cone_values_at(x, ss) per row of x an element of N_C(x)
+# and whether x lies in C (rows off C carry an arbitrary value).
 
 @dataclass(frozen=True, eq=False)
 class Ball:
@@ -103,6 +115,29 @@ class Ball:
     def interior_point(self) -> np.ndarray:
         return self.center.copy()
 
+    def normal_cone_value(self, x) -> "SetValue":
+        d = x - self.center
+        nd = float(np.linalg.norm(d))
+        if nd > self.radius + MEMBER_TOL:
+            return EmptySet()
+        if nd < self.radius - MEMBER_TOL:
+            return PointValue(np.zeros(self.dim))
+        return RayValue(d / nd)
+
+    def inset_points(self, m, ss) -> np.ndarray:
+        return self.center + _ball_points(m, self.dim, self.radius, ss)
+
+    def support_points(self, d) -> np.ndarray:
+        return self.center + self.radius * d
+
+    def cone_values_at(self, x, ss):
+        (g,) = _rngs(ss, 1)
+        d = x - self.center
+        nd = np.linalg.norm(d, axis=1)
+        on_sphere = nd >= self.radius - MEMBER_TOL
+        scale = g.uniform(0.0, _CONE_VALUE_SCALE, x.shape[0]) / np.maximum(nd, MEMBER_TOL)
+        return d * np.where(on_sphere, scale, 0.0)[:, None], nd <= self.radius + MEMBER_TOL
+
 
 @dataclass(frozen=True, eq=False)
 class Box:
@@ -136,6 +171,29 @@ class Box:
 
     def interior_point(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
+
+    def normal_cone_value(self, x) -> "SetValue":
+        if not self.contains(x):
+            return EmptySet()
+        signs = self._face_signs(x)
+        return FaceConeValue(signs) if signs.any() else PointValue(np.zeros(self.dim))
+
+    def inset_points(self, m, ss) -> np.ndarray:
+        (g,) = _rngs(ss, 1)
+        return g.uniform(self.lo, self.hi, size=(m, self.dim))
+
+    def support_points(self, d) -> np.ndarray:
+        return np.where(d > 0, self.hi, self.lo)
+
+    def cone_values_at(self, x, ss):
+        (g,) = _rngs(ss, 1)
+        ok = np.all((x >= self.lo - MEMBER_TOL) & (x <= self.hi + MEMBER_TOL), axis=1)
+        return self._face_signs(x) * g.uniform(0.0, _CONE_VALUE_SCALE, x.shape), ok
+
+    def _face_signs(self, x) -> np.ndarray:
+        """Coordinatewise +1 on an upper face, -1 on a lower one, 0 inside."""
+        signs = np.where(x >= self.hi - MEMBER_TOL, 1.0, 0.0)
+        return np.where(x <= self.lo + MEMBER_TOL, -1.0, signs)
 
 
 # Wolfe's stopping tolerance, relative to the largest shifted vertex norm,
@@ -224,6 +282,21 @@ class Polytope:
     def interior_point(self) -> np.ndarray:
         return self.matrix.mean(axis=0)
 
+    def normal_cone_value(self, x) -> "SetValue":
+        return ConeByInequalities(self.matrix - x) if self.contains(x) else EmptySet()
+
+    def inset_points(self, m, ss) -> np.ndarray:
+        # Dirichlet(1, ..., 1) weights as normalised exponentials
+        (g,) = _rngs(ss, 1)
+        w = g.standard_exponential((m, self.matrix.shape[0]))
+        return (w / w.sum(axis=1, keepdims=True)) @ self.matrix
+
+    def support_points(self, d) -> np.ndarray:
+        return self.matrix[np.argmax(d @ self.matrix.T, axis=1)]
+
+    def cone_values_at(self, x, ss):
+        return np.zeros(x.shape), np.array([self.contains(row) for row in x], dtype=bool)
+
 
 ConvexSetDescriptor = Union[Ball, Box, Polytope]
 
@@ -239,7 +312,8 @@ def support_function(c: ConvexSetDescriptor, u) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LinearMapOp:
-    """Single-valued linear operator x -> A x."""
+    """Single-valued linear operator x -> A x: the relation whose graph
+    {(x, A x)} is charted by t -> (U t, V t), ``u_block`` = I, ``v_block`` = A."""
 
     matrix: np.ndarray
 
@@ -249,6 +323,14 @@ class LinearMapOp:
     @property
     def dim(self):
         return self.matrix.shape[0]
+
+    @property
+    def u_block(self) -> np.ndarray:
+        return np.eye(self.dim)
+
+    @property
+    def v_block(self) -> np.ndarray:
+        return self.matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,10 +361,8 @@ class LinearRelationOp:
 
     @classmethod
     def from_matrix(cls, a) -> "LinearRelationOp":
-        a = as_matrix(a, square=True)
-        n = a.shape[0]
-        cols = np.vstack([np.eye(n), a])
-        return cls(orthonormalize(cols, ambient_dim=2 * n))
+        m = LinearMapOp(a)
+        return cls.from_graph_columns(np.vstack([m.u_block, m.v_block]), m.dim)
 
     @classmethod
     def from_graph_columns(cls, columns, dim) -> "LinearRelationOp":
@@ -340,7 +420,7 @@ class SumOp:
     def __post_init__(self):
         if len(self.terms) != 2:
             raise MalformedDescriptorError("sums have exactly two terms in v1")
-        dims = {ambient_dim(t) for t in self.terms}
+        dims = {t.dim for t in self.terms}
         if len(dims) != 1:
             raise DimensionMismatchError("sum terms live in different spaces")
         linear = all(isinstance(t, (LinearMapOp, LinearRelationOp)) for t in self.terms)
@@ -348,7 +428,7 @@ class SumOp:
 
     @property
     def dim(self):
-        return ambient_dim(self.terms[0])
+        return self.terms[0].dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,25 +440,18 @@ class TranslatedOp:
     shift_xs: np.ndarray
 
     def __post_init__(self):
-        n = ambient_dim(self.inner)
+        n = self.inner.dim
         object.__setattr__(self, "shift_x", as_vector(self.shift_x, n))
         object.__setattr__(self, "shift_xs", as_vector(self.shift_xs, n))
 
     @property
     def dim(self):
-        return ambient_dim(self.inner)
+        return self.inner.dim
 
 
 OperatorDescriptor = Union[
     LinearMapOp, LinearRelationOp, NormSubdiffOp, NormalConeOp, SumOp, TranslatedOp
 ]
-
-
-def ambient_dim(op: OperatorDescriptor) -> int:
-    if isinstance(op, (LinearMapOp, LinearRelationOp, NormSubdiffOp, NormalConeOp,
-                       SumOp, TranslatedOp)):
-        return op.dim
-    raise UnsupportedOperatorError(f"not an operator descriptor: {type(op)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,62 +477,45 @@ def symmetric_part(op) -> np.ndarray:
     return 0.5 * (op.matrix + op.matrix.T)
 
 
-def _relation_form(rel: LinearRelationOp) -> np.ndarray:
-    u, v = rel.u_block, rel.v_block
-    return 0.5 * (u.T @ v + v.T @ u)
+def _chart(op, what):
+    """(U, V) of the chart t -> (U t, V t) of a linear map's or relation's
+    graph; ``what`` names the query in the error for any other operator."""
+    if not isinstance(op, (LinearMapOp, LinearRelationOp)):
+        raise UnsupportedOperatorError(f"{what} is defined for linear operators")
+    return op.u_block, op.v_block
 
 
 def is_symmetric(op, tol=MONOTONE_TOL) -> bool:
-    """<x, y*> = <y, x*> for all graph pairs."""
-    if isinstance(op, LinearMapOp):
-        return float(np.max(np.abs(op.matrix - op.matrix.T), initial=0.0)) <= tol
-    if isinstance(op, LinearRelationOp):
-        u, v = op.u_block, op.v_block
-        return float(np.max(np.abs(u.T @ v - v.T @ u), initial=0.0)) <= tol
-    raise UnsupportedOperatorError("symmetry is defined for linear operators")
+    """<x, y*> = <y, x*> for all graph pairs: U'V - V'U vanishes."""
+    u, v = _chart(op, "symmetry")
+    return float(np.max(np.abs(u.T @ v - v.T @ u), initial=0.0)) <= tol
 
 
 def is_skew(op, tol=MONOTONE_TOL) -> bool:
-    """<x, x*> = 0 on the whole graph."""
-    if isinstance(op, LinearMapOp):
-        return float(np.max(np.abs(op.matrix + op.matrix.T), initial=0.0)) <= tol
-    if isinstance(op, LinearRelationOp):
-        return float(np.max(np.abs(_relation_form(op)), initial=0.0)) <= tol
-    raise UnsupportedOperatorError("skewness is defined for linear operators")
+    """<x, x*> = 0 on the whole graph: U'V + V'U vanishes."""
+    u, v = _chart(op, "skewness")
+    return float(np.max(np.abs(u.T @ v + v.T @ u), initial=0.0)) <= tol
 
 
 def validate(op: OperatorDescriptor) -> ValidationReport:
     """Decide monotonicity (exactly, for linear operators) and maximality.
 
-    Linear maps: monotone iff the symmetric part is PSD; monotone
-    single-valued linear operators on R^n are automatically maximal.
-    Linear relations: monotone iff the induced graph form is PSD; a
-    monotone relation is maximal iff its graph has dimension n.
+    Linear maps and relations, on their graph chart (U, V): monotone iff
+    the graph form (U'V + V'U)/2 is PSD (for a map, the symmetric part of
+    A); a monotone one is maximal iff dim gra = n, as a map's always is.
     Subdifferentials and normal cones are maximally monotone outright.
     A linear + linear sum gets the verdict of its sum relation.  For other
     sums, monotonicity of every term is reported (a sufficient condition)
     and maximality is left to the certificates layer.
     """
-    if isinstance(op, LinearMapOp):
-        w, _ = sym_eig(0.5 * (op.matrix + op.matrix.T))
+    if isinstance(op, (LinearMapOp, LinearRelationOp)):
+        u, v = op.u_block, op.v_block
+        w, _ = sym_eig(0.5 * (u.T @ v + v.T @ u))
         lam_min = float(w[-1]) if w.size else 0.0
-        mono = lam_min >= -MONOTONE_TOL
-        return ValidationReport(
-            monotone=mono,
-            maximal=mono,
-            detail=f"min eigenvalue of symmetric part = {lam_min:.6e}",
-        )
-    if isinstance(op, LinearRelationOp):
-        w, _ = sym_eig(_relation_form(op))
-        lam_min = float(w[-1]) if w.size else 0.0
-        mono = lam_min >= -MONOTONE_TOL
-        maximal = mono and op.graph.dim == op.dim
-        return ValidationReport(
-            monotone=mono,
-            maximal=maximal,
-            detail=(f"graph form min eigenvalue = {lam_min:.6e}, "
-                    f"dim gra = {op.graph.dim} (n = {op.dim})"),
-        )
+        mono, k = lam_min >= -MONOTONE_TOL, u.shape[1]
+        return ValidationReport(mono, mono and k == op.dim,
+                                f"graph form min eigenvalue = {lam_min:.6e}, "
+                                f"dim gra = {k} (n = {op.dim})")
     if isinstance(op, (NormSubdiffOp, NormalConeOp)):
         return ValidationReport(True, True, "subdifferential of a proper lsc convex function")
     if isinstance(op, SumOp):
@@ -495,11 +551,7 @@ def require_maximal(op) -> ValidationReport:
 
 def graph_subspace(op) -> Subspace:
     """The graph of a linear map / relation as a subspace of R^2n."""
-    if isinstance(op, LinearMapOp):
-        return LinearRelationOp.from_matrix(op.matrix).graph
-    if isinstance(op, LinearRelationOp):
-        return op.graph
-    raise UnsupportedOperatorError("only linear operators have subspace graphs")
+    return as_relation(op).graph
 
 
 def adjoint_relation(g: Subspace) -> Subspace:
@@ -524,12 +576,9 @@ def neg_adjoint_graph(g: Subspace) -> Subspace:
 
 
 def dom_subspace(op) -> Subspace:
-    """Domain of a linear map / relation, as a subspace of R^n."""
-    if isinstance(op, LinearMapOp):
-        return orthonormalize(np.eye(op.dim))
-    if isinstance(op, LinearRelationOp):
-        return orthonormalize(op.u_block, ambient_dim=op.dim)
-    raise UnsupportedOperatorError("domain subspace needs a linear operator")
+    """Domain of a linear map / relation, as a subspace of R^n: ran U."""
+    u, _ = _chart(op, "a domain subspace")
+    return orthonormalize(u, ambient_dim=op.dim)
 
 
 def relation_as_map(rel: LinearRelationOp) -> Optional[LinearMapOp]:
@@ -709,7 +758,7 @@ def _minkowski(a: SetValue, b: SetValue) -> SetValue:
 
 def apply(op: OperatorDescriptor, x) -> SetValue:
     """Exact set description of op(x); EmptySet when x is outside the domain."""
-    x = as_vector(x, ambient_dim(op))
+    x = as_vector(x, op.dim)
     if isinstance(op, LinearMapOp):
         return PointValue(op.matrix @ x)
     if isinstance(op, LinearRelationOp):
@@ -732,7 +781,7 @@ def apply(op: OperatorDescriptor, x) -> SetValue:
             return PointValue(np.zeros(op.dim))
         return PointValue(op.gradient(x))
     if isinstance(op, NormalConeOp):
-        return _normal_cone_value(op.set, x)
+        return op.set.normal_cone_value(x)
     if isinstance(op, SumOp):
         return _minkowski(apply(op.terms[0], x), apply(op.terms[1], x))
     if isinstance(op, TranslatedOp):
@@ -748,31 +797,6 @@ def _null_space(m) -> np.ndarray:
     rank = int(np.sum(s > tol))
     return vt[rank:].T
 
-
-def _normal_cone_value(c: ConvexSetDescriptor, x) -> SetValue:
-    tol = MEMBER_TOL
-    if isinstance(c, Ball):
-        d = x - c.center
-        nd = float(np.linalg.norm(d))
-        if nd > c.radius + tol:
-            return EmptySet()
-        if nd < c.radius - tol:
-            return PointValue(np.zeros(c.dim))
-        return RayValue(d / nd)
-    if isinstance(c, Box):
-        if not c.contains(x, tol):
-            return EmptySet()
-        signs = np.zeros(c.dim)
-        signs[x >= c.hi - tol] = 1.0
-        signs[x <= c.lo + tol] = -1.0
-        if not signs.any():
-            return PointValue(np.zeros(c.dim))
-        return FaceConeValue(signs)
-    if isinstance(c, Polytope):
-        if not c.contains(x, tol):
-            return EmptySet()
-        return ConeByInequalities(c.matrix - x)
-    raise MalformedDescriptorError(f"unknown set {type(c)!r}")
 
 
 def graph_member(op: OperatorDescriptor, x, xs, tol=MEMBER_TOL) -> bool:
@@ -893,9 +917,9 @@ def _sample_cone(c: ConvexSetDescriptor, count, radius, ss):
     period = 3 if isinstance(c, Box) else 2
     ss_in, ss_dir = _children(ss, 2)
     x, xs = np.empty((count, n)), np.zeros((count, n))
-    x[0::period] = _inset_points(c, len(x[0::period]), ss_in)
+    x[0::period] = c.inset_points(len(x[0::period]), ss_in)
     d = _unit_rows(np.random.default_rng(ss_dir), len(x[1::period]), n)
-    x[1::period] = _support_points(c, d)
+    x[1::period] = c.support_points(d)
     xs[1::period] = d * _cone_scales(len(d), radius)
     if period == 3:
         sig = _face_patterns(len(x[2::3]), n)
@@ -920,30 +944,6 @@ def _face_patterns(m, n):
     return sig - 1.0
 
 
-def _inset_points(c, m, ss) -> np.ndarray:
-    """``m`` seeded points of the set."""
-    if isinstance(c, Ball):
-        return c.center + _ball_points(m, c.dim, c.radius, ss)
-    (g,) = _rngs(ss, 1)
-    if isinstance(c, Box):
-        return g.uniform(c.lo, c.hi, size=(m, c.dim))
-    if isinstance(c, Polytope):
-        # Dirichlet(1, ..., 1) weights as normalised exponentials
-        w = g.standard_exponential((m, len(c.vertices)))
-        return (w / w.sum(axis=1, keepdims=True)) @ c.matrix
-    raise MalformedDescriptorError(f"unknown set {type(c)!r}")
-
-
-def _support_points(c, d) -> np.ndarray:
-    """A maximiser of <., d_i> over the set for each unit row d_i, so that
-    every s d_i with s >= 0 is a normal there."""
-    if isinstance(c, Ball):
-        return c.center + c.radius * d
-    if isinstance(c, Box):
-        return np.where(d > 0, c.hi, c.lo)
-    if isinstance(c, Polytope):
-        return c.matrix[np.argmax(d @ c.matrix.T, axis=1)]
-    raise MalformedDescriptorError(f"unknown set {type(c)!r}")
 
 
 def _values_at(op, x, ss):
@@ -975,7 +975,7 @@ def _values_at(op, x, ss):
             w = np.where((r > 0.0)[:, None], w, kink)
         return w, ok
     if isinstance(op, NormalConeOp):
-        return _cone_values_at(op.set, x, ss)
+        return op.set.cone_values_at(x, ss)
     if isinstance(op, SumOp):
         ss0, ss1 = _children(ss, 2)
         w0, ok0 = _values_at(op.terms[0], x, ss0)
@@ -986,27 +986,6 @@ def _values_at(op, x, ss):
         return w + op.shift_xs, ok
     raise MalformedDescriptorError(f"unknown descriptor {type(op)!r}")
 
-
-def _cone_values_at(c, x, ss):
-    m, n = x.shape
-    tol = MEMBER_TOL
-    (g,) = _rngs(ss, 1)
-    if isinstance(c, Ball):
-        d = x - c.center
-        nd = np.linalg.norm(d, axis=1)
-        ok = nd <= c.radius + tol
-        on_sphere = nd >= c.radius - tol
-        mag = np.where(on_sphere, g.uniform(0.0, _CONE_VALUE_SCALE, m) / np.maximum(nd, tol), 0.0)
-        return d * mag[:, None], ok
-    if isinstance(c, Box):
-        ok = np.all((x >= c.lo - tol) & (x <= c.hi + tol), axis=1)
-        signs = np.where(x >= c.hi - tol, 1.0, 0.0)
-        signs = np.where(x <= c.lo + tol, -1.0, signs)
-        return signs * g.uniform(0.0, _CONE_VALUE_SCALE, (m, n)), ok
-    if isinstance(c, Polytope):
-        ok = np.array([c.contains(row, tol) for row in x], dtype=bool)
-        return np.zeros((m, n)), ok
-    raise MalformedDescriptorError(f"unknown set {type(c)!r}")
 
 
 # A sum whose sampled driver points meet the other term's domain this rarely

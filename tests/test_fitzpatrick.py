@@ -19,7 +19,6 @@ from enlargekit.fitzpatrick import (
     FitzEvaluator,
     InfConvResult,
     QuadForm,
-    SolverConfig,
     fitz_bruteforce,
     fitz_closed_form,
     fitz_evaluator,
@@ -417,7 +416,7 @@ def _lstsq_prox(piece, w, t):
 
 
 def test_factored_quad_prox_matches_the_kkt_solve():
-    from enlargekit.fitzpatrick import _QuadPiece, _carrier_from_map, _carrier_from_relation
+    from enlargekit.fitzpatrick import _QuadPiece, _carrier as _carrier_from_map, _carrier as _carrier_from_relation
 
     rng = np.random.default_rng(8)
     for n in (1, 2, 3, 5):
