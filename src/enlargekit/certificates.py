@@ -32,14 +32,10 @@ from .fitzpatrick import (
     partial_inf_conv,
 )
 from .linalg import Subspace, as_vector, contains as span_contains, orthonormalize
+from .operators import interior_domain_check, set_extent, split_linear_cone
 
 SIDE_CLAIM_TOL = 1e-10
 INCLUSION_TOL = 1e-9
-
-# interior_domain_check: depth of an interior point; draws and seed of its search.
-INTERIOR_MARGIN = 1e-6
-INTERIOR_BUDGET = 2000
-INTERIOR_SEED = 0
 
 
 class GraphNotAffineError(ValueError):
@@ -229,59 +225,6 @@ class SumCheckReport:
     skipped_points: int = 0  # cone-sum points left unchecked (rhs = +inf)
 
 
-def interior_domain_check(a, c: ops.ConvexSetDescriptor):
-    """Does dom A meet the interior of C?  True / False / None (inconclusive).
-
-    Exact for full-dimensional domains, the zero domain and line domains
-    (interval arithmetic); higher-dimensional proper subspaces fall back
-    to a seeded search and may come back inconclusive.
-    """
-    if isinstance(c, ops.Polytope):
-        return None  # V-representation offers no cheap interior test
-    d = ops.dom_subspace(a)
-    if c.contains(np.zeros(c.dim), tol=-INTERIOR_MARGIN):
-        return True
-    if d.dim == 0:
-        return False
-    if d.dim == c.dim:
-        return True  # ball/box descriptors always have interior points
-    if d.dim == 1:
-        return _line_meets_interior(c, d.basis[:, 0])
-    rng = np.random.default_rng(INTERIOR_SEED)
-    scale = _set_extent(c)
-    for _ in range(INTERIOR_BUDGET):
-        t = rng.normal(size=d.dim)
-        if c.contains(d.basis @ (t * scale), tol=-INTERIOR_MARGIN):
-            return True
-    return None
-
-
-def _set_extent(c):
-    if isinstance(c, ops.Ball):
-        return float(np.linalg.norm(c.center) + c.radius)
-    if isinstance(c, ops.Box):
-        return float(np.max(np.abs(np.concatenate([c.lo, c.hi]))))
-    raise ops.UnsupportedOperatorError("sum certificates cover balls and boxes")
-
-
-def _line_meets_interior(c, direction):
-    if isinstance(c, ops.Ball):
-        # |t d - center|^2 < (r - margin)^2 for some t
-        b = -2.0 * float(direction @ c.center)
-        cc = float(c.center @ c.center) - (c.radius - INTERIOR_MARGIN) ** 2
-        return b * b - 4.0 * cc > 0.0
-    lo_t, hi_t = -math.inf, math.inf
-    for di, li, hi_ in zip(direction, c.lo, c.hi):
-        if abs(di) <= 1e-14:
-            if not (li + INTERIOR_MARGIN < 0.0 < hi_ - INTERIOR_MARGIN):
-                return False
-            continue
-        t1, t2 = float((li + INTERIOR_MARGIN) / di), float((hi_ - INTERIOR_MARGIN) / di)
-        lo_t = max(lo_t, min(t1, t2))
-        hi_t = min(hi_t, max(t1, t2))
-    return bool(lo_t < hi_t)
-
-
 def sum_maximality(a, b, seed=1) -> MaximalityCertificate:
     """Maximality of A + B.
 
@@ -298,7 +241,7 @@ def sum_maximality(a, b, seed=1) -> MaximalityCertificate:
         return MaximalityCertificate(
             bool(rep.monotone and rep.maximal), True,
             f"dim gra(A+B) = {rel.graph.dim} (n = {rel.dim})")
-    lin, cone = _split_linear_cone(a, b)
+    lin, cone = split_linear_cone(a, b)
     fa, fc = fitz_evaluator(lin), fitz_evaluator(cone)
     values = [(partial_inf_conv(fa, fc, z, zs).value, pairing(z, zs))
               for z, zs in _sum_points(sum_op, 60, seed)]
@@ -317,15 +260,6 @@ def _sampled_maximality(values, hyp) -> MaximalityCertificate:
     return MaximalityCertificate(
         bool(worst >= -1e-8 and hyp is True), False,
         f"sampled min of F - pairing = {worst:.3e}; interior hypothesis: {hyp}")
-
-
-def _split_linear_cone(a, b):
-    if isinstance(a, ops.NormalConeOp) and not isinstance(b, ops.NormalConeOp):
-        return b, a
-    if isinstance(b, ops.NormalConeOp):
-        return a, b
-    raise ops.UnsupportedOperatorError(
-        "sum certificates cover linear+linear and linear+normal-cone")
 
 
 def _sum_points(op: ops.SumOp, n_points, seed):
@@ -354,14 +288,14 @@ def _sum_points(op: ops.SumOp, n_points, seed):
             else:
                 pts.append((rng.normal(size=n) * 2, rng.normal(size=n) * 2))
         return pts
-    lin, cone = _split_linear_cone(*op.terms)
+    lin, cone = split_linear_cone(*op.terms)
     n = lin.dim
     dom = ops.dom_subspace(lin)
     pts = []
     while len(pts) < n_points:
         kind = len(pts) % 3
         if kind == 0:
-            z = cone.set.project(rng.normal(size=n) * _set_extent(cone.set))
+            z = cone.set.project(rng.normal(size=n) * set_extent(cone.set))
         elif kind == 1:
             d = rng.normal(size=n)
             d /= max(np.linalg.norm(d), 1e-12)
@@ -381,11 +315,15 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
     summands at sampled points, recording the worst gap and the exactness
     witnesses of every finite inf-convolution value.
 
-    The left side uses the closed form when the sum is again linear, and
-    the sampled supremum (with its convex polish) otherwise.  A violated
-    hypothesis flags the report as advisory but the check still runs.
-    Cone-sum points where the inf-convolution is +inf cannot be checked
-    against a sampled lower bound; ``skipped_points`` counts them.
+    The left side is the closed form of :func:`fitz_evaluator`: the sum
+    relation's for linear + linear, the QP over C cap dom A for linear +
+    normal cone.  Where that evaluator does not exist (dom A misses C, a
+    ball only touches dom A, A is not maximal) the left side is the sampled
+    supremum with its polish, and points with a +inf inf-convolution go
+    unchecked.  A point where exactly one side is +inf sets ``max_gap`` to
+    +inf.  Cone-sum points where both sides are +inf count as
+    ``skipped_points``.  A violated hypothesis flags the report as advisory
+    but the check still runs.
 
     ``maximality`` is exact for a linear + linear sum.  For a cone sum it is
     the sampled certificate of :func:`sum_maximality` on the inf-convolution
@@ -396,42 +334,41 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
     sum_op = ops.SumOp((a, b))
     both_linear = sum_op.relation is not None
     if both_linear:
-        lhs_ev = fitz_evaluator(sum_op)
         hypothesis_ok = True  # dom A - dom B is a subspace, closed in R^n
         mode = "linear+linear"
         notes = "domain-difference closedness holds automatically"
     else:
-        lin, cone = _split_linear_cone(a, b)
+        lin, cone = split_linear_cone(a, b)
         hyp = interior_domain_check(lin, cone.set)
         hypothesis_ok = hyp is True
-        lhs_ev = None
         mode = "linear+normal-cone"
         notes = f"interior-domain check: {hyp}"
+    try:
+        lhs_ev = fitz_evaluator(sum_op)
+    except ops.UnsupportedOperatorError:
+        lhs_ev = None
     max_gap = 0.0
     witnesses = []
     values = []  # (F, pairing) of the cone sum, for its maximality
     skipped = 0
     points = _sum_points(sum_op, n_points, seed)
     for idx, (z, zs) in enumerate(points):
-        if both_linear:
-            lhs = lhs_ev.evaluate(z, zs)
-        else:
-            res = fitz_bruteforce(sum_op, z, zs, count=2000, radius=8.0,
-                                  seed=seed + idx, divergence_check=False)
-            lhs = res.value
         rhs = partial_inf_conv(fa, fb, z, zs)
         values.append((rhs.value, pairing(z, zs)))
-        if math.isinf(rhs.value) and not both_linear:
-            # the sampled lhs of a cone sum cannot certify +inf
-            skipped += 1
-            continue
+        if lhs_ev is not None:
+            lhs = lhs_ev.evaluate(z, zs)
+        elif math.isinf(rhs.value):
+            lhs = math.inf  # a sampled lower bound cannot certify +inf
+        else:
+            lhs = fitz_bruteforce(sum_op, z, zs, count=2000, radius=8.0,
+                                  seed=seed + idx, divergence_check=False).value
         if math.isinf(rhs.value) and math.isinf(lhs):
-            continue  # +inf agreed exactly in the linear case
+            skipped += not both_linear
+            continue
         if math.isinf(rhs.value) != math.isinf(lhs):
             max_gap = math.inf
             break
-        gap = abs(lhs - rhs.value)
-        max_gap = max(max_gap, gap)
+        max_gap = max(max_gap, abs(lhs - rhs.value))
         witnesses.append((idx, rhs.witness, rhs.inner_residual))
     return SumCheckReport(
         max_gap=max_gap, points_tested=len(points),

@@ -10,6 +10,12 @@ Closed forms implemented here:
   c = x* + A'x and W is the symmetric part ``(A + A')/2``.
 * normal cone of a bounded closed convex set C:  indicator(x in C) +
   support_C(x*).
+* A + N_C for a maximally monotone linear A with domain D and a ball, box
+  or polytope C:  for z in C cap D, the max over graph points (w, Mw) of A
+  with w in C cap D of <z, Mw> + <w, z*> - <w, Mw> (the normal part is
+  best at 0, and A(0) = D-perp adds nothing on D), one convex QP (an
+  active-set method, or the More-Sorensen secular equation for a ball);
+  +inf off C cap D.  Needs C cap D nonempty, for a ball D meeting int C.
 * subdifferential of the Euclidean norm (p = 1):  ||x|| + indicator of the
   dual unit ball at x*.
 
@@ -19,8 +25,9 @@ The function value lives in ]-inf, +inf]; plain floats carry it, with
 The sampled oracle ``fitz_bruteforce`` maximizes the defining supremum
 over deterministic graph samples, optionally polished by the exact
 maximiser over the graph's natural chart (a linear solve for maps and
-relations, the kink pair for p = 1, a 1-D radius search for p > 1).  It
-always returns a lower bound of the true value.
+relations, the QP maximiser for a linear + normal-cone sum, the kink pair
+for p = 1, a 1-D radius search for p > 1).  It always returns a lower
+bound of the true value.
 """
 
 from __future__ import annotations
@@ -30,9 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-# Nothing here calls scipy: the benchmark tracer (perfbench/spans.py) binds
-# fitzpatrick.scipy.optimize.  The bare import loads no submodule.
-import scipy
 
 from . import operators as ops
 from .operators import SolverFailureError
@@ -46,6 +50,18 @@ from .linalg import (
 )
 
 CARRIER_TOL = 1e-9
+# Largest duality gap of a cone-sum QP, relative to 1 + |F|, before the
+# value is refused.
+QP_GAP_TOL = 1e-9
+
+
+def __getattr__(name):
+    # Nothing here calls scipy; the benchmark tracer (perfbench/spans.py)
+    # reads fitzpatrick.scipy.optimize, so scipy loads only when read.
+    if name == "scipy":
+        import scipy
+        return scipy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +146,49 @@ def _carrier(op) -> CarrierQuadratic:
     return CarrierQuadratic.build(op.u_block, op.v_block)
 
 
+@dataclass(frozen=True, eq=False)
+class ConeSumQP:
+    """F of A + N_C as one QP (see the module docstring).
+
+    D = ran U has the orthonormal basis Q, and A maps Q s to M s + D-perp
+    with M = V (Q'U)^+.  For z in C cap D, F(z, z*) is the max over
+    {s : Q s in C} of <b, s> - <s, H s>, b = M'z + Q'z*, H = (Q'M + M'Q)/2,
+    which ``solve`` (the set's ``subspace_qp``) finds."""
+
+    q: np.ndarray        # (n, k)
+    m: np.ndarray        # (n, k)
+    cset: object
+    solve: object
+
+    @classmethod
+    def build(cls, lin, c) -> "ConeSumQP":
+        # +inf off C cap D needs A(0) = D-perp (A maximal), and the set's
+        # subspace_qp refuses C cap D empty or a ball that D only touches
+        if not ops.require_monotone(lin).maximal:
+            raise ops.UnsupportedOperatorError("cone-sum closed form needs a maximal A")
+        q = ops.dom_subspace(lin).basis
+        m = lin.v_block @ np.linalg.pinv(q.T @ lin.u_block)
+        return cls(q, m, c, c.subspace_qp(q, 0.5 * (q.T @ m + m.T @ q)))
+
+    def maximiser(self, x, xs):
+        """(value, pair): the graph pair (Q s, M s) of A with Q s in C that
+        maximises <x, a*> + <a, x*> - <a, a*>, with the zero normal a pair of
+        A + N_C, and its value; raises SolverFailureError when the QP's
+        duality gap exceeds ``QP_GAP_TOL``."""
+        s, gap = self.solve(self.m.T @ x + self.q.T @ xs)
+        pair = (self.q @ s, self.m @ s)
+        value = _objective(x, xs)(*pair)
+        if gap > QP_GAP_TOL * (1.0 + abs(value)):
+            raise SolverFailureError(f"cone-sum QP duality gap {gap:.3e}")
+        return value, pair
+
+    def evaluate(self, x, xs, tol=CARRIER_TOL) -> float:
+        off_d = float(np.linalg.norm(x - self.q @ (self.q.T @ x)))
+        if off_d > tol * (1.0 + float(np.linalg.norm(x))) or not self.cset.contains(x, tol):
+            return math.inf
+        return self.maximiser(x, xs)[0]
+
+
 # ---------------------------------------------------------------------------
 # evaluators
 # ---------------------------------------------------------------------------
@@ -139,8 +198,8 @@ class FitzEvaluator:
     """Closed-form Fitzpatrick function of one zoo operator.
 
     ``kind`` is one of ``quadratic`` (linear maps/relations and linear
-    sums), ``indicator_support`` (normal cones) and ``norm_graph`` (the
-    p = 1 norm subdifferential)."""
+    sums), ``cone_sum`` (linear + normal cone), ``indicator_support``
+    (normal cones) and ``norm_graph`` (the p = 1 norm subdifferential)."""
 
     operator: ops.OperatorDescriptor
     kind: str
@@ -153,7 +212,7 @@ class FitzEvaluator:
     def evaluate(self, x, xs, tol=CARRIER_TOL) -> float:
         x = as_vector(x, self.dim)
         xs = as_vector(xs, self.dim)
-        if self.kind == "quadratic":
+        if self.kind in ("quadratic", "cone_sum"):
             return self.data.evaluate(x, xs, tol)
         if self.kind == "indicator_support":
             c = self.data
@@ -169,7 +228,9 @@ class FitzEvaluator:
 
 def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
     """Build the closed-form evaluator; raises UnsupportedOperatorError when
-    the zoo offers none (p > 1 subdifferentials, non-linear sums)."""
+    the zoo offers none (p > 1 subdifferentials, sums other than linear +
+    linear and linear + normal cone, and cone sums outside
+    :class:`ConeSumQP`'s hypotheses)."""
     if isinstance(op, (ops.LinearMapOp, ops.LinearRelationOp)):
         return FitzEvaluator(op, "quadratic", _carrier(op))
     if isinstance(op, ops.NormalConeOp):
@@ -182,8 +243,8 @@ def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
     if isinstance(op, ops.SumOp):
         if op.relation is not None:
             return FitzEvaluator(op, "quadratic", _carrier(op.relation))
-        raise ops.UnsupportedOperatorError(
-            "closed form for sums only when both terms are linear")
+        lin, cone = ops.split_linear_cone(*op.terms)
+        return FitzEvaluator(op, "cone_sum", ConeSumQP.build(lin, cone.set))
     raise ops.UnsupportedOperatorError(f"no evaluator for {type(op).__name__}")
 
 
@@ -336,10 +397,23 @@ def _power_chart_max(p, x, xs):
     return r * u, r ** (p - 1.0) * u
 
 
+def _sum_chart_max(op, x, xs):
+    """Maximiser over a sum's graph: the sum relation's chart, or the
+    cone-sum QP; None when there is no closed form."""
+    if op.relation is not None:
+        return _linear_chart_max(op.relation, x, xs)
+    try:
+        ev = fitz_evaluator(op)
+    except (ops.UnsupportedOperatorError, ops.NotMonotoneError):
+        return None
+    return ev.data.maximiser(x, xs)[1]
+
+
 def _chart_polish(op, x, xs):
     """The exact maximiser of <x, a*> + <a, x*> - <a, a*> over the graph's
-    natural chart: linear maps and relations, and norm subdifferentials
-    (for p = 1 the kink pair (0, x/||x||), whose value is ||x||).
+    natural chart: linear maps and relations, sums with a closed form
+    (:func:`_sum_chart_max`), and norm subdifferentials (for p = 1 the kink
+    pair (0, x/||x||), whose value is ||x||).
 
     Every candidate is a genuine graph point, so the value remains a lower
     bound of the true supremum; (-inf, None) when there is no candidate.
@@ -351,45 +425,12 @@ def _chart_polish(op, x, xs):
         pair = (np.zeros_like(x), x / nx if nx > 0 else np.zeros_like(x))
     elif isinstance(op, ops.NormSubdiffOp):
         pair = _power_chart_max(op.p, x, xs)
+    elif isinstance(op, ops.SumOp):
+        pair = _sum_chart_max(op, x, xs)
     else:
         pair = None
     if pair is None:
         return -math.inf, None
-    return _objective(x, xs)(*pair), pair
-
-
-def _sum_cone_polish(op, x, xs):
-    """Exact refinement for sums (linear map) + (normal cone).
-
-    For a query with x in C, the supremum over the sum's graph reduces to
-    maximizing the concave quadratic <A'x + xs, w> - <w, A_+ w> over
-    w in C (taking the zero normal), solved by projected gradient ascent.
-    Each iterate is a genuine graph point, keeping the lower-bound
-    guarantee.
-    """
-    t0, t1 = op.terms
-    if isinstance(t1, ops.NormalConeOp) and isinstance(t0, ops.LinearMapOp):
-        a_op, cone = t0, t1
-    elif isinstance(t0, ops.NormalConeOp) and isinstance(t1, ops.LinearMapOp):
-        a_op, cone = t1, t0
-    else:
-        return -math.inf, None
-    c = cone.set
-    if not c.contains(x, CARRIER_TOL):
-        return -math.inf, None
-    mat = a_op.matrix
-    sym = mat + mat.T
-    lin = mat.T @ x + xs
-    lip = max(float(np.linalg.norm(sym, 2)), 1e-12)
-    w = c.project(x)
-    for _ in range(50000):
-        grad = lin - sym @ w
-        new = c.project(w + grad / lip)
-        if float(np.linalg.norm(new - w)) <= 1e-13 * (1.0 + np.linalg.norm(w)):
-            w = new
-            break
-        w = new
-    pair = (w, mat @ w)
     return _objective(x, xs)(*pair), pair
 
 
@@ -421,9 +462,9 @@ def fitz_bruteforce(op, x, xs, count=10000, radius=10.0, seed=0, polish=True,
     the objective's maximum in one vectorised expression.  When the query
     pair itself lies on the graph it joins the candidate set, which pins
     the value to the pairing there.  With ``polish`` the exact chart
-    maximiser joins it too (:func:`_chart_polish`, or
-    :func:`_sum_cone_polish` for a sum), so a finite F of a linear map or
-    relation or a norm subdifferential is attained up to rounding.  The
+    maximiser joins it too (:func:`_chart_polish`), so a finite F of a
+    linear map or relation, a sum with a closed form or a norm
+    subdifferential is attained up to rounding.  The
     result is always a lower bound of the true F; ``diverging`` flags the
     indicator-type +inf suspicion from the sups at radius x1, x2 and x4.
     The x1 sup is the first pass, so a call draws 3 * ``count`` pairs with
@@ -439,8 +480,7 @@ def fitz_bruteforce(op, x, xs, count=10000, radius=10.0, seed=0, polish=True,
         if v > best:
             best, best_pair = v, (x, xs)
     if polish:
-        polisher = _sum_cone_polish if isinstance(op, ops.SumOp) else _chart_polish
-        pv, pp = polisher(op, x, xs)
+        pv, pp = _chart_polish(op, x, xs)
         if pp is not None and pv > best:
             best, best_pair = pv, pp
     trend = [(radius, best)]

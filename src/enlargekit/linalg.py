@@ -2,13 +2,16 @@
 Moore-Penrose pseudoinverses, range tests and subspace arithmetic.
 
 Everything here is sized for desk-scale problems (n up to a few dozen);
-all algorithms are dense and deterministic.  Rank decisions follow one
+all algorithms are dense and deterministic.  Two small convex QP solvers
+close the module: a primal active-set method for bounds plus equalities
+and the More-Sorensen secular equation for a ball.  Rank decisions follow one
 policy throughout: eigenvalues (or singular values) below
 ``EIG_RANK_RTOL`` times the largest one are treated as zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,14 @@ class NonSymmetricError(ValueError):
 class NotPSDError(ValueError):
     """A matrix required to be positive semidefinite has a significantly
     negative eigenvalue."""
+
+
+class SolverFailureError(RuntimeError):
+    """An iterative solver stopped at its cycle or iteration cap.
+
+    Distinct from a genuinely infinite value: it signals numerical trouble
+    or violated hypotheses, never a certified answer.
+    """
 
 
 def as_vector(x, dim=None) -> np.ndarray:
@@ -245,3 +256,135 @@ def intersect(s: Subspace, t: Subspace) -> Subspace:
 
 def same_span(s: Subspace, t: Subspace, tol=1e-9) -> bool:
     return contains(s, t, tol) and contains(t, s, tol)
+
+
+# ---------------------------------------------------------------------------
+# convex quadratic programs
+# ---------------------------------------------------------------------------
+
+# Active-set QP: working-set changes allowed per variable (finite
+# termination makes the cap unreachable in exact arithmetic), and the
+# tolerance of multiplier signs and flat directions, relative to the
+# problem's scale.
+QP_CYCLES_PER_VARIABLE = 10
+QP_TOL = 1e-10
+# More-Sorensen: Newton steps on the secular equation before it raises.
+BALL_QP_ITERS = 100
+
+
+@dataclass(frozen=True, eq=False)
+class QPResult:
+    """A minimiser ``x`` and the norm ``kkt`` of its sign-corrected KKT
+    residual: for a convex objective q and any feasible x*, q(x) - q(x*) is
+    at most ``kkt`` times ||x - x*||, so ``kkt`` times the feasible set's
+    diameter bounds the duality gap."""
+
+    x: np.ndarray
+    kkt: float
+
+
+def _null_basis(m) -> np.ndarray:
+    """Orthonormal basis of ker m (the identity when m has no rows)."""
+    if m.shape[0] == 0:
+        return np.eye(m.shape[1])
+    _, s, vt = np.linalg.svd(m)
+    rank = int(np.sum(s > EIG_RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
+    return vt[rank:].T
+
+
+def bounded_qp(h, g, lo, hi, x0, e=None) -> QPResult:
+    """Minimise (1/2) x'Hx - g'x over {lo <= x <= hi, E x = E x0} from the
+    feasible ``x0``, by the primal active-set method (Nocedal-Wright,
+    *Numerical Optimization*, ch. 16), which terminates finitely.
+
+    H is symmetric PSD and may be singular; bounds may be infinite but
+    lo < hi.  The working set holds the variables fixed at a bound.  Each
+    cycle minimises over the free variables in the null space of E: a
+    Newton step when the reduced gradient lies in the range of the reduced
+    Hessian, else a descent direction of zero curvature, either one cut
+    at the first bound it meets.  At a minimiser of the face a fixed
+    variable whose multiplier has the wrong sign is freed.  Past
+    ``QP_CYCLES_PER_VARIABLE`` * (n + 1) cycles, or on a descent ray that
+    meets no bound, it raises :class:`SolverFailureError`.
+    """
+    x = np.array(x0, dtype=float)
+    e = np.zeros((0, x.size)) if e is None else e
+    at = np.where(x <= lo, -1.0, np.where(x >= hi, 1.0, 0.0))  # -1 lower, +1 upper
+    scale = 1.0 + float(np.max(np.abs(g), initial=0.0)) + \
+        float(np.max(np.abs(h), initial=0.0)) * (1.0 + float(np.max(np.abs(x), initial=0.0)))
+    tol = QP_TOL * scale
+    cap = QP_CYCLES_PER_VARIABLE * (x.size + 1)
+    for _ in range(cap):
+        free = at == 0.0
+        grad = h @ x - g
+        z = _null_basis(e[:, free])
+        lam, q = np.linalg.eigh(z.T @ h[np.ix_(free, free)] @ z)
+        gq = q.T @ (z.T @ grad[free])
+        pos = lam > rank_cutoff(lam)
+        flat = ~pos & (np.abs(gq) > tol)
+        newton = not flat.any()
+        p = -(z @ (q[:, pos] @ (gq[pos] / lam[pos]) if newton else q[:, flat] @ gq[flat]))
+        xf, lof, hif = x[free], lo[free], hi[free]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.where(p < 0, (lof - xf) / p, np.where(p > 0, (hif - xf) / p, np.inf))
+        reach = np.maximum(reach, 0.0)
+        j = int(np.argmin(reach)) if reach.size else -1
+        if j >= 0 and (reach[j] < 1.0 or not newton):
+            if math.isinf(reach[j]):
+                raise SolverFailureError("quadratic program is unbounded below")
+            idx = np.flatnonzero(free)
+            x[idx] = xf + reach[j] * p
+            x[idx[j]] = lo[idx[j]] if p[j] < 0 else hi[idx[j]]
+            at[idx[j]] = -1.0 if p[j] < 0 else 1.0
+            continue
+        x[free] = xf + p
+        grad = h @ x - g
+        mu = np.linalg.lstsq(e[:, free].T, -grad[free], rcond=None)[0] if e.shape[0] else \
+            np.zeros(0)
+        nu = grad + e.T @ mu
+        viol = np.where(free, 0.0, np.maximum(at * nu, 0.0))
+        k = int(np.argmax(viol))
+        if viol[k] <= tol:
+            return QPResult(x, float(np.linalg.norm(np.where(free, nu, viol))))
+        at[k] = 0.0
+    raise SolverFailureError(
+        f"active-set QP did not terminate in {cap} working-set changes")
+
+
+def ball_qp(lam, vecs, g, radius):
+    """Minimise (1/2) y'By - g'y over ||y|| <= radius, B = vecs diag(lam)
+    vecs' PSD, by the More-Sorensen secular equation.
+
+    Inside the ball the minimum-norm Newton point is optimal.  Otherwise
+    the minimiser is y(mu) = (B + mu I)^-1 g with ||y(mu)|| = radius; Newton
+    on 1/radius - 1/||y(mu)||, concave in mu, climbs monotonically to the
+    root from a lower bound of it.  Returns (y, gap), with gap a bound on
+    the duality gap from the KKT residual; past ``BALL_QP_ITERS`` steps it
+    raises :class:`SolverFailureError`.
+    """
+    lam = np.maximum(lam, 0.0)
+    gam = vecs.T @ g
+    pos = lam > rank_cutoff(lam)
+    null_g = float(np.linalg.norm(gam[~pos]))
+    gn = float(np.linalg.norm(gam))
+    off_range = null_g > QP_TOL * (1.0 + gn)  # else the null part of g is rounding
+    mu = 0.0
+    coef = np.where(pos, gam / np.where(pos, lam, 1.0), 0.0)
+    if off_range or float(np.linalg.norm(coef)) > radius:
+        g2 = np.where(pos | off_range, gam * gam, 0.0)
+        nz = g2 > 0.0
+        mu = max(gn / radius - float(np.max(lam, initial=0.0)), null_g / radius, 0.0)
+        for _ in range(BALL_QP_ITERS):
+            d = lam[nz] + mu
+            phi2 = float(np.sum(g2[nz] / d ** 2))
+            step = (math.sqrt(phi2) / radius - 1.0) * phi2 / float(np.sum(g2[nz] / d ** 3))
+            if not step > 1e-15 * mu:
+                break
+            mu += step
+        else:
+            raise SolverFailureError(
+                f"secular equation unsolved after {BALL_QP_ITERS} Newton steps")
+        coef = np.where(nz, gam / (lam + mu), 0.0)
+    y = vecs @ coef
+    resid = float(np.linalg.norm((lam + mu) * coef - gam))
+    return y, 2.0 * radius * resid + 0.5 * mu * abs(radius * radius - float(coef @ coef))

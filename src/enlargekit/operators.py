@@ -17,6 +17,7 @@ seed, so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -24,9 +25,12 @@ import numpy as np
 
 from .linalg import (
     DimensionMismatchError,
+    SolverFailureError,
     Subspace,
     as_matrix,
     as_vector,
+    ball_qp,
+    bounded_qp,
     complement,
     contains,
     orthonormalize,
@@ -39,6 +43,11 @@ MONOTONE_TOL = 1e-10
 
 # Membership tolerance for set and graph tests.
 MEMBER_TOL = 1e-9
+
+# interior_domain_check: depth of an interior point; draws and seed of its search.
+INTERIOR_MARGIN = 1e-6
+INTERIOR_BUDGET = 2000
+INTERIOR_SEED = 0
 
 
 class MalformedDescriptorError(ValueError):
@@ -61,14 +70,6 @@ class UnsupportedOperatorError(TypeError):
     """The requested operation has no implementation for this descriptor."""
 
 
-class SolverFailureError(RuntimeError):
-    """An iterative solver stopped at its cycle or iteration cap.
-
-    Distinct from a genuinely infinite value: it signals numerical trouble
-    or violated hypotheses, never a certified answer.
-    """
-
-
 # ---------------------------------------------------------------------------
 # convex set descriptors
 # ---------------------------------------------------------------------------
@@ -79,6 +80,19 @@ class SolverFailureError(RuntimeError):
 # maximiser of <., d_i> over C per unit row d_i (so every s d_i, s >= 0, is
 # a normal there); cone_values_at(x, ss) per row of x an element of N_C(x)
 # and whether x lies in C (rows off C carry an arbitrary value).
+#
+# subspace_qp(q, hess) serves the Fitzpatrick function of a linear + normal
+# cone sum: for Q with orthonormal columns and H PSD it returns solve(b) ->
+# (s, gap), a maximiser of <b, s> - <s, H s> over {s : Q s in C} and a bound
+# on the gap of its value.  It raises UnsupportedOperatorError when ran Q
+# misses C (for a ball: misses its interior).
+
+
+def _require_meets(resid):
+    if float(np.linalg.norm(resid)) > MEMBER_TOL:
+        raise UnsupportedOperatorError(
+            f"the subspace misses the set (distance {np.linalg.norm(resid):.3e})")
+
 
 @dataclass(frozen=True, eq=False)
 class Ball:
@@ -129,6 +143,19 @@ class Ball:
 
     def support_points(self, d) -> np.ndarray:
         return self.center + self.radius * d
+
+    def subspace_qp(self, q, hess):
+        # a ball of radius rho about s0 in the coordinates s
+        s0 = q.T @ self.center
+        rho = math.sqrt(max(self.radius ** 2 - float(np.sum((self.center - q @ s0) ** 2)), 0.0))
+        if rho <= INTERIOR_MARGIN:
+            raise UnsupportedOperatorError("the subspace misses the interior of the ball")
+        lam, vecs = sym_eig(2.0 * hess)
+
+        def solve(b):
+            y, gap = ball_qp(lam, vecs, b - 2.0 * hess @ s0, rho)
+            return s0 + y, gap
+        return solve
 
     def cone_values_at(self, x, ss):
         (g,) = _rngs(ss, 1)
@@ -190,6 +217,21 @@ class Box:
         ok = np.all((x >= self.lo - MEMBER_TOL) & (x <= self.hi + MEMBER_TOL), axis=1)
         return self._face_signs(x) * g.uniform(0.0, _CONE_VALUE_SCALE, x.shape), ok
 
+    def subspace_qp(self, q, hess):
+        # in x = Q s: lo <= x <= hi and Q_perp' x = 0, from a point of ran Q
+        # in the box (least distance, a bound-constrained least squares)
+        perp = complement(Subspace(self.dim, q)).basis.T
+        x0 = self.interior_point()
+        if perp.shape[0]:
+            x0 = bounded_qp(perp.T @ perp, np.zeros(self.dim), self.lo, self.hi, x0).x
+            _require_meets(perp @ x0)
+        hx, diam = 2.0 * q @ hess @ q.T, float(np.linalg.norm(self.hi - self.lo))
+
+        def solve(b):
+            res = bounded_qp(hx, q @ b, self.lo, self.hi, x0, perp)
+            return q.T @ res.x, res.kkt * diam
+        return solve
+
     def _face_signs(self, x) -> np.ndarray:
         """Coordinatewise +1 on an upper face, -1 on a lower one, 0 inside."""
         signs = np.where(x >= self.hi - MEMBER_TOL, 1.0, 0.0)
@@ -201,6 +243,51 @@ class Box:
 # makes the cap unreachable in exact arithmetic).
 WOLFE_TOL = 1e-12
 WOLFE_CYCLES_PER_VERTEX = 10
+
+
+def _wolfe(q):
+    """Nearest point y of the hull of the rows q_i to the origin, by Wolfe's
+    nearest-point algorithm (Math. Prog. 11, 1976), which terminates
+    finitely; returns (corral, weights, y) with y = weights @ q[corral].
+
+    A corral S starts at the row of least norm, and y is a point of its
+    hull.  A major cycle adds the j minimising <q_j, y> unless ||y|| <= eps,
+    ||y||^2 - <q_j, y> <= eps ||y|| (eps = ``WOLFE_TOL`` max ||q_i||), j is in
+    S, or ||y|| did not fall since the last one.  Minor cycles move y to the
+    affine minimiser of S (minimum-norm least squares, so repeated and
+    affinely dependent rows are safe), dropping a row whose weight reaches
+    zero on the way.  Past ``WOLFE_CYCLES_PER_VERTEX`` * (m + n) major
+    cycles it raises :class:`SolverFailureError` instead of returning.
+    """
+    sq = np.einsum("ij,ij->i", q, q)
+    eps = WOLFE_TOL * float(np.sqrt(np.max(sq)))
+    corral, lam = [int(np.argmin(sq))], np.ones(1)
+    y, last = q[corral[0]], np.inf
+    cap = WOLFE_CYCLES_PER_VERTEX * (q.shape[0] + q.shape[1])
+    for _ in range(cap):
+        dots = q @ y
+        j = int(np.argmin(dots))
+        ny = float(np.linalg.norm(y))
+        if ny <= eps or ny * ny - float(dots[j]) <= eps * ny or j in corral or ny >= last:
+            return corral, lam, y
+        corral, lam, last = corral + [j], np.append(lam, 0.0), ny
+        while True:  # minor cycles, each dropping a row of the corral
+            qs = q[corral]
+            beta = np.linalg.lstsq((qs[1:] - qs[0]).T, -qs[0], rcond=None)[0]
+            alpha = np.concatenate([[1.0 - beta.sum()], beta])
+            if np.all(alpha > 0.0):
+                break
+            # step from lam towards alpha until a weight reaches zero
+            neg = np.flatnonzero(alpha <= 0.0)
+            ratios = lam[neg] / np.maximum(lam[neg] - alpha[neg], np.finfo(float).tiny)
+            lam = lam + float(np.min(ratios)) * (alpha - lam)
+            lam[neg[np.argmin(ratios)]] = 0.0
+            corral = [c for c, w in zip(corral, lam) if w > 0.0]
+            lam = lam[lam > 0.0]
+        lam = alpha
+        y = lam @ q[corral]
+    raise SolverFailureError(
+        f"Wolfe's nearest-point algorithm did not terminate in {cap} major cycles")
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,51 +316,9 @@ class Polytope:
         return float(np.max(self.matrix @ u))
 
     def project(self, x) -> np.ndarray:
-        """Nearest point of the hull, by Wolfe's nearest-point algorithm
-        (Math. Prog. 11, 1976), which terminates finitely.
-
-        On the shifted vertices q_i = v_i - x, a corral S starts at the
-        vertex of least norm, and y is a point of its hull.  A major cycle
-        adds the j minimising <q_j, y> unless ||y|| <= eps, ||y||^2 - <q_j, y>
-        <= eps ||y|| (eps = ``WOLFE_TOL`` max ||q_i||), j is in S, or ||y||
-        did not fall since the last one.  Minor cycles move y to the affine
-        minimiser of S (minimum-norm least squares, so repeated and affinely
-        dependent vertices are safe), dropping a vertex whose weight reaches
-        zero on the way.  Past ``WOLFE_CYCLES_PER_VERTEX`` * (m + n) major
-        cycles it raises :class:`SolverFailureError` instead of returning a
-        point.
-        """
+        """Nearest point of the hull, by Wolfe's algorithm (:func:`_wolfe`)."""
         x = as_vector(x, self.dim)
-        q = self.matrix - x
-        sq = np.einsum("ij,ij->i", q, q)
-        eps = WOLFE_TOL * float(np.sqrt(np.max(sq)))
-        corral, lam = [int(np.argmin(sq))], np.ones(1)
-        y, last = q[corral[0]], np.inf
-        cap = WOLFE_CYCLES_PER_VERTEX * (q.shape[0] + q.shape[1])
-        for _ in range(cap):
-            dots = q @ y
-            j = int(np.argmin(dots))
-            ny = float(np.linalg.norm(y))
-            if ny <= eps or ny * ny - float(dots[j]) <= eps * ny or j in corral or ny >= last:
-                return x + y
-            corral, lam, last = corral + [j], np.append(lam, 0.0), ny
-            while True:  # minor cycles, each dropping a vertex of the corral
-                qs = q[corral]
-                beta = np.linalg.lstsq((qs[1:] - qs[0]).T, -qs[0], rcond=None)[0]
-                alpha = np.concatenate([[1.0 - beta.sum()], beta])
-                if np.all(alpha > 0.0):
-                    break
-                # step from lam towards alpha until a weight reaches zero
-                neg = np.flatnonzero(alpha <= 0.0)
-                ratios = lam[neg] / np.maximum(lam[neg] - alpha[neg], np.finfo(float).tiny)
-                lam = lam + float(np.min(ratios)) * (alpha - lam)
-                lam[neg[np.argmin(ratios)]] = 0.0
-                corral = [c for c, w in zip(corral, lam) if w > 0.0]
-                lam = lam[lam > 0.0]
-            lam = alpha
-            y = lam @ q[corral]
-        raise SolverFailureError(
-            f"Wolfe's nearest-point algorithm did not terminate in {cap} major cycles")
+        return x + _wolfe(self.matrix - x)[2]
 
     def contains(self, x, tol=MEMBER_TOL) -> bool:
         x = as_vector(x, self.dim)
@@ -296,6 +341,24 @@ class Polytope:
 
     def cone_values_at(self, x, ss):
         return np.zeros(x.shape), np.array([self.contains(row) for row in x], dtype=bool)
+
+    def subspace_qp(self, q, hess):
+        # in the vertex weights lam: lam >= 0, sum lam = 1 and Q_perp' P lam
+        # = 0, from Wolfe's weights of the hull point of Q_perp' P nearest 0
+        perp = complement(Subspace(self.dim, q)).basis.T
+        m = self.matrix.shape[0]
+        corral, w, y = _wolfe(self.matrix @ perp.T)
+        _require_meets(y)
+        lam0 = np.zeros(m)
+        lam0[corral] = w
+        pq = self.matrix @ q
+        e, hl = np.vstack([np.ones(m), perp @ self.matrix.T]), 2.0 * pq @ hess @ pq.T
+        lo, hi = np.zeros(m), np.full(m, np.inf)
+
+        def solve(b):
+            res = bounded_qp(hl, pq @ b, lo, hi, lam0, e)
+            return pq.T @ res.x, res.kkt * math.sqrt(2.0)
+        return solve
 
 
 ConvexSetDescriptor = Union[Ball, Box, Polytope]
@@ -504,9 +567,11 @@ def validate(op: OperatorDescriptor) -> ValidationReport:
     the graph form (U'V + V'U)/2 is PSD (for a map, the symmetric part of
     A); a monotone one is maximal iff dim gra = n, as a map's always is.
     Subdifferentials and normal cones are maximally monotone outright.
-    A linear + linear sum gets the verdict of its sum relation.  For other
-    sums, monotonicity of every term is reported (a sufficient condition)
-    and maximality is left to the certificates layer.
+    A linear + linear sum gets the verdict of its sum relation.  A maximal
+    linear A plus N_C is maximal when dom A meets int C
+    (:func:`interior_domain_check` answers True), the hypothesis of the sum
+    theorem.  For other sums, monotonicity of every term is reported (a
+    sufficient condition) and maximality is left to the certificates layer.
     """
     if isinstance(op, (LinearMapOp, LinearRelationOp)):
         u, v = op.u_block, op.v_block
@@ -523,12 +588,84 @@ def validate(op: OperatorDescriptor) -> ValidationReport:
             return validate(op.relation)
         terms = [validate(t) for t in op.terms]
         mono = all(t.monotone for t in terms)
+        if mono and all(t.maximal for t in terms):
+            try:
+                lin, cone = split_linear_cone(*op.terms)
+            except UnsupportedOperatorError:
+                lin = None
+            if lin is not None and interior_domain_check(lin, cone.set) is True:
+                return ValidationReport(True, True, "linear + normal cone: dom A meets int C")
         return ValidationReport(mono, None, "sum: maximality resolved by certificates")
     if isinstance(op, TranslatedOp):
         inner = validate(op.inner)
         return ValidationReport(inner.monotone, inner.maximal,
                                 f"translation of: {inner.detail}")
     raise MalformedDescriptorError(f"unknown descriptor {type(op)!r}")
+
+
+def split_linear_cone(a, b):
+    """(linear term, normal-cone term) of a linear map or relation plus a
+    normal cone, in either order; any other pair raises
+    UnsupportedOperatorError."""
+    lin, cone = (b, a) if isinstance(a, NormalConeOp) else (a, b)
+    if isinstance(lin, (LinearMapOp, LinearRelationOp)) and isinstance(cone, NormalConeOp):
+        return lin, cone
+    raise UnsupportedOperatorError(
+        "sums are covered for linear+linear and linear+normal-cone")
+
+
+def interior_domain_check(a, c: ConvexSetDescriptor):
+    """Does dom A meet the interior of C?  True / False / None (inconclusive).
+
+    Exact for full-dimensional domains, the zero domain and line domains
+    (interval arithmetic); higher-dimensional proper subspaces fall back
+    to a seeded search and may come back inconclusive.
+    """
+    if isinstance(c, Polytope):
+        return None  # V-representation offers no cheap interior test
+    d = dom_subspace(a)
+    if c.contains(np.zeros(c.dim), tol=-INTERIOR_MARGIN):
+        return True
+    if d.dim == 0:
+        return False
+    if d.dim == c.dim:
+        return True  # ball/box descriptors always have interior points
+    if d.dim == 1:
+        return _line_meets_interior(c, d.basis[:, 0])
+    rng = np.random.default_rng(INTERIOR_SEED)
+    scale = set_extent(c)
+    for _ in range(INTERIOR_BUDGET):
+        t = rng.normal(size=d.dim)
+        if c.contains(d.basis @ (t * scale), tol=-INTERIOR_MARGIN):
+            return True
+    return None
+
+
+def set_extent(c):
+    """A bound on the norms of the points of a ball or a box."""
+    if isinstance(c, Ball):
+        return float(np.linalg.norm(c.center) + c.radius)
+    if isinstance(c, Box):
+        return float(np.max(np.abs(np.concatenate([c.lo, c.hi]))))
+    raise UnsupportedOperatorError("sum certificates cover balls and boxes")
+
+
+def _line_meets_interior(c, direction):
+    if isinstance(c, Ball):
+        # |t d - center|^2 < (r - margin)^2 for some t
+        b = -2.0 * float(direction @ c.center)
+        cc = float(c.center @ c.center) - (c.radius - INTERIOR_MARGIN) ** 2
+        return b * b - 4.0 * cc > 0.0
+    lo_t, hi_t = -math.inf, math.inf
+    for di, li, hi_ in zip(direction, c.lo, c.hi):
+        if abs(di) <= 1e-14:
+            if not (li + INTERIOR_MARGIN < 0.0 < hi_ - INTERIOR_MARGIN):
+                return False
+            continue
+        t1, t2 = float((li + INTERIOR_MARGIN) / di), float((hi_ - INTERIOR_MARGIN) / di)
+        lo_t = max(lo_t, min(t1, t2))
+        hi_t = min(hi_t, max(t1, t2))
+    return bool(lo_t < hi_t)
 
 
 def require_monotone(op) -> ValidationReport:
@@ -674,6 +811,10 @@ class RayValue:
 
     direction: np.ndarray
 
+    @property
+    def generators(self) -> np.ndarray:
+        return self.direction[:, None]
+
     def contains(self, u, tol=MEMBER_TOL) -> bool:
         u = as_vector(u, self.direction.shape[0])
         s = float(u @ self.direction)
@@ -691,12 +832,38 @@ class FaceConeValue:
 
     signs: np.ndarray
 
+    @property
+    def generators(self) -> np.ndarray:
+        return np.diag(self.signs)[:, self.signs != 0]
+
     def contains(self, u, tol=MEMBER_TOL) -> bool:
         u = as_vector(u, self.signs.shape[0])
         ok_free = np.all(np.abs(u[self.signs == 0]) <= tol)
         ok_up = np.all(u[self.signs > 0] >= -tol)
         ok_dn = np.all(u[self.signs < 0] <= tol)
         return bool(ok_free and ok_up and ok_dn)
+
+
+@dataclass(frozen=True, eq=False)
+class AffineConeValue:
+    """point + span(directions) + {generators c : c >= 0}.
+
+    u belongs to it iff the least squares min over s and c >= 0 of
+    ||u - point - D s - G c|| (D the directions, G the generators) is 0,
+    a bound-constrained QP."""
+
+    point: np.ndarray
+    directions: Subspace
+    generators: np.ndarray
+
+    def contains(self, u, tol=MEMBER_TOL) -> bool:
+        u = as_vector(u, self.point.shape[0])
+        a = np.hstack([self.directions.basis, self.generators])
+        k, j = self.directions.dim, self.generators.shape[1]
+        d = u - self.point
+        lo = np.concatenate([np.full(k, -np.inf), np.zeros(j)])
+        x = bounded_qp(a.T @ a, a.T @ d, lo, np.full(k + j, np.inf), np.zeros(k + j)).x
+        return float(np.linalg.norm(d - a @ x)) <= tol * (1.0 + float(np.linalg.norm(u)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -723,7 +890,7 @@ class TranslatedValue:
 
 
 SetValue = Union[EmptySet, PointValue, BallValue, AffineSetValue, RayValue,
-                 FaceConeValue, ConeByInequalities, TranslatedValue]
+                 FaceConeValue, AffineConeValue, ConeByInequalities, TranslatedValue]
 
 
 def _translate_value(val: SetValue, shift: np.ndarray) -> SetValue:
@@ -752,6 +919,10 @@ def _minkowski(a: SetValue, b: SetValue) -> SetValue:
             np.hstack([a.directions.basis, b.directions.basis]),
             ambient_dim=a.point.shape[0])
         return AffineSetValue(a.point + b.point, dirs)
+    if isinstance(b, AffineSetValue):
+        a, b = b, a
+    if isinstance(a, AffineSetValue) and isinstance(b, (RayValue, FaceConeValue)):
+        return AffineConeValue(a.point, a.directions, b.generators)
     raise UnsupportedOperatorError(
         f"Minkowski sum of {type(a).__name__} and {type(b).__name__} not supported")
 
