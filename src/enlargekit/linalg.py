@@ -272,27 +272,17 @@ QP_TOL = 1e-10
 BALL_QP_ITERS = 100
 
 
-@dataclass(frozen=True, eq=False)
-class QPResult:
-    """A minimiser ``x`` and the norm ``kkt`` of its sign-corrected KKT
-    residual: for a convex objective q and any feasible x*, q(x) - q(x*) is
-    at most ``kkt`` times ||x - x*||, so ``kkt`` times the feasible set's
-    diameter bounds the duality gap."""
-
-    x: np.ndarray
-    kkt: float
-
-
-def _null_basis(m) -> np.ndarray:
-    """Orthonormal basis of ker m (the identity when m has no rows)."""
-    if m.shape[0] == 0:
-        return np.eye(m.shape[1])
+def null_space(m) -> np.ndarray:
+    """Orthonormal basis of ker m (singular values below ``EIG_RANK_RTOL``
+    times the largest count as zero)."""
+    m = np.atleast_2d(m)
     _, s, vt = np.linalg.svd(m)
-    rank = int(np.sum(s > EIG_RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
+    tol = (s[0] if s.size else 0.0) * EIG_RANK_RTOL
+    rank = int(np.sum(s > tol))
     return vt[rank:].T
 
 
-def bounded_qp(h, g, lo, hi, x0, e=None) -> QPResult:
+def bounded_qp(h, g, lo, hi, x0, e=None):
     """Minimise (1/2) x'Hx - g'x over {lo <= x <= hi, E x = E x0} from the
     feasible ``x0``, by the primal active-set method (Nocedal-Wright,
     *Numerical Optimization*, ch. 16), which terminates finitely.
@@ -306,6 +296,10 @@ def bounded_qp(h, g, lo, hi, x0, e=None) -> QPResult:
     variable whose multiplier has the wrong sign is freed.  Past
     ``QP_CYCLES_PER_VARIABLE`` * (n + 1) cycles, or on a descent ray that
     meets no bound, it raises :class:`SolverFailureError`.
+
+    Returns (x, kkt), kkt the norm of the sign-corrected KKT residual: for
+    any feasible x*, q(x) - q(x*) <= kkt ||x - x*||, so kkt times the
+    feasible set's diameter bounds the duality gap.
     """
     x = np.array(x0, dtype=float)
     e = np.zeros((0, x.size)) if e is None else e
@@ -317,7 +311,7 @@ def bounded_qp(h, g, lo, hi, x0, e=None) -> QPResult:
     for _ in range(cap):
         free = at == 0.0
         grad = h @ x - g
-        z = _null_basis(e[:, free])
+        z = null_space(e[:, free])
         lam, q = np.linalg.eigh(z.T @ h[np.ix_(free, free)] @ z)
         gq = q.T @ (z.T @ grad[free])
         pos = lam > rank_cutoff(lam)
@@ -345,7 +339,7 @@ def bounded_qp(h, g, lo, hi, x0, e=None) -> QPResult:
         viol = np.where(free, 0.0, np.maximum(at * nu, 0.0))
         k = int(np.argmax(viol))
         if viol[k] <= tol:
-            return QPResult(x, float(np.linalg.norm(np.where(free, nu, viol))))
+            return x, float(np.linalg.norm(np.where(free, nu, viol)))
         at[k] = 0.0
     raise SolverFailureError(
         f"active-set QP did not terminate in {cap} working-set changes")

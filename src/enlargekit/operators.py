@@ -33,6 +33,7 @@ from .linalg import (
     bounded_qp,
     complement,
     contains,
+    null_space,
     orthonormalize,
     sym_eig,
     zero_space,
@@ -223,13 +224,13 @@ class Box:
         perp = complement(Subspace(self.dim, q)).basis.T
         x0 = self.interior_point()
         if perp.shape[0]:
-            x0 = bounded_qp(perp.T @ perp, np.zeros(self.dim), self.lo, self.hi, x0).x
+            x0 = bounded_qp(perp.T @ perp, np.zeros(self.dim), self.lo, self.hi, x0)[0]
             _require_meets(perp @ x0)
         hx, diam = 2.0 * q @ hess @ q.T, float(np.linalg.norm(self.hi - self.lo))
 
         def solve(b):
-            res = bounded_qp(hx, q @ b, self.lo, self.hi, x0, perp)
-            return q.T @ res.x, res.kkt * diam
+            x, kkt = bounded_qp(hx, q @ b, self.lo, self.hi, x0, perp)
+            return q.T @ x, kkt * diam
         return solve
 
     def _face_signs(self, x) -> np.ndarray:
@@ -356,8 +357,8 @@ class Polytope:
         lo, hi = np.zeros(m), np.full(m, np.inf)
 
         def solve(b):
-            res = bounded_qp(hl, pq @ b, lo, hi, lam0, e)
-            return pq.T @ res.x, res.kkt * math.sqrt(2.0)
+            lam, kkt = bounded_qp(hl, pq @ b, lo, hi, lam0, e)
+            return pq.T @ lam, kkt * math.sqrt(2.0)
         return solve
 
 
@@ -862,7 +863,7 @@ class AffineConeValue:
         k, j = self.directions.dim, self.generators.shape[1]
         d = u - self.point
         lo = np.concatenate([np.full(k, -np.inf), np.zeros(j)])
-        x = bounded_qp(a.T @ a, a.T @ d, lo, np.full(k + j, np.inf), np.zeros(k + j)).x
+        x = bounded_qp(a.T @ a, a.T @ d, lo, np.full(k + j, np.inf), np.zeros(k + j))[0]
         return float(np.linalg.norm(d - a @ x)) <= tol * (1.0 + float(np.linalg.norm(u)))
 
 
@@ -938,7 +939,7 @@ def apply(op: OperatorDescriptor, x) -> SetValue:
         if float(np.linalg.norm(u @ t - x)) > MEMBER_TOL * (1.0 + np.linalg.norm(x)):
             return EmptySet()
         point = v @ t
-        null_u = _null_space(u)
+        null_u = null_space(u)
         dirs = orthonormalize(v @ null_u, ambient_dim=op.dim) if null_u.shape[1] else \
             zero_space(op.dim)
         if dirs.dim == 0:
@@ -961,12 +962,6 @@ def apply(op: OperatorDescriptor, x) -> SetValue:
     raise MalformedDescriptorError(f"unknown descriptor {type(op)!r}")
 
 
-def _null_space(m) -> np.ndarray:
-    m = np.atleast_2d(m)
-    _, s, vt = np.linalg.svd(m)
-    tol = (s[0] if s.size else 0.0) * 1e-10
-    rank = int(np.sum(s > tol))
-    return vt[rank:].T
 
 
 
@@ -1130,7 +1125,7 @@ def _values_at(op, x, ss):
         nx = np.linalg.norm(x, axis=1)
         ok = np.linalg.norm(t @ u.T - x, axis=1) <= MEMBER_TOL * (1.0 + nx)
         w = t @ v.T
-        null_u = _null_space(u)
+        null_u = null_space(u)
         if null_u.shape[1]:
             dirs = orthonormalize(v @ null_u, ambient_dim=n)
             (g,) = _rngs(ss, 1)
