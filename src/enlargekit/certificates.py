@@ -9,7 +9,10 @@ Exact criteria used on R^n:
   gra(-A*) is contained in gra A, in which case the pairing vanishes on
   gra(-A*);
 * a monotone single-valued linear map is non-enlargeable iff it is skew;
-* a monotone linear relation is maximal iff dim gra = n.
+* a monotone linear relation is maximal iff dim gra = n;
+* a maximally monotone linear A plus N_C is maximal when dom A meets ri C
+  (Rockafellar's qualification) and not maximal when dom A misses C; when
+  dom A meets C only on its relative boundary the verdict is None.
 
 Hypothesis failures of the sum theorems never abort a computation; the
 reports carry an advisory flag instead, since the hypotheses are
@@ -208,8 +211,8 @@ def fitz_singleton_check(op, n_samples=150, seed=0) -> SingletonCheckReport:
 
 @dataclass(frozen=True, eq=False)
 class MaximalityCertificate:
-    maximal: bool
-    exact: bool   # dimension criterion vs sampled inequality certificate
+    maximal: Optional[bool]  # None = undetermined
+    exact: bool   # every verdict rests on an exact criterion
     detail: str = ""
 
 
@@ -218,53 +221,29 @@ class SumCheckReport:
     max_gap: float
     points_tested: int
     exactness_witnesses: list
-    maximality: bool
+    maximality: Optional[bool]  # None = undetermined
     hypothesis_ok: bool
     mode: str
     notes: str = ""
     skipped_points: int = 0  # cone-sum points left unchecked (rhs = +inf)
 
 
-def sum_maximality(a, b, seed=1) -> MaximalityCertificate:
-    """Maximality of A + B.
-
-    Linear + linear: exact, by the dimension of the sum graph.  Linear +
-    normal cone: sampled certificate F >= pairing - 1e-8 at the 60 test
-    points of :func:`_sum_points` drawn from ``seed``, plus the
-    interior-domain hypothesis check; with no point of finite F there is
-    no evidence, and the verdict is False.
-    """
+def sum_maximality(a, b) -> MaximalityCertificate:
+    """Maximality of A + B, as :func:`operators.validate` decides it: by the
+    dimension of the sum graph for linear + linear, by whether dom A meets
+    ri C or C at all for linear + normal cone (None: undetermined)."""
     sum_op = ops.SumOp((a, b))
-    rel = sum_op.relation
-    if rel is not None:
-        rep = ops.validate(rel)
-        return MaximalityCertificate(
-            bool(rep.monotone and rep.maximal), True,
-            f"dim gra(A+B) = {rel.graph.dim} (n = {rel.dim})")
-    lin, cone = split_linear_cone(a, b)
-    fa, fc = fitz_evaluator(lin), fitz_evaluator(cone)
-    values = [(partial_inf_conv(fa, fc, z, zs).value, pairing(z, zs))
-              for z, zs in _sum_points(sum_op, 60, seed)]
-    return _sampled_maximality(values, interior_domain_check(lin, cone.set))
-
-
-def _sampled_maximality(values, hyp) -> MaximalityCertificate:
-    """Verdict from (F, pairing) at the cone-sum test points: True when the
-    least finite F - pairing is >= -1e-8 and the interior hypothesis ``hyp``
-    holds; False when no F is finite (no evidence)."""
-    worst = min((f - p for f, p in values if math.isfinite(f)), default=math.inf)
-    if math.isinf(worst):
-        return MaximalityCertificate(
-            False, False,
-            f"no sampled point had a finite F; interior hypothesis: {hyp}")
-    return MaximalityCertificate(
-        bool(worst >= -1e-8 and hyp is True), False,
-        f"sampled min of F - pairing = {worst:.3e}; interior hypothesis: {hyp}")
+    if sum_op.relation is None:
+        ops.require_monotone(split_linear_cone(a, b)[0])
+    rep = ops.validate(sum_op)
+    return MaximalityCertificate(rep.maximal, True, rep.detail)
 
 
 def _sum_points(op: ops.SumOp, n_points, seed):
-    """Test points (z, z*) mixing graph points of the sum, range-compatible
-    perturbations, and fully random pairs."""
+    """Test points (z, z*).  Linear + linear: graph points of the sum,
+    range-compatible perturbations and fully random pairs.  Linear + normal
+    cone: z a projection onto C, a support point of C, or a point near the
+    interior point moved towards dom A and projected onto C; z* random."""
     rng = np.random.default_rng(seed)
     rel = op.relation
     if rel is not None:
@@ -325,10 +304,7 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
     ``skipped_points``.  A violated hypothesis flags the report as advisory
     but the check still runs.
 
-    ``maximality`` is exact for a linear + linear sum.  For a cone sum it is
-    the sampled certificate of :func:`sum_maximality` on the inf-convolution
-    values above: their points are the first ``n_points`` of the stream
-    from which :func:`sum_maximality` (same seed) draws 60.
+    ``maximality`` is the exact verdict of :func:`sum_maximality`.
     """
     fa, fb = fitz_evaluator(a), fitz_evaluator(b)
     sum_op = ops.SumOp((a, b))
@@ -339,22 +315,19 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
         notes = "domain-difference closedness holds automatically"
     else:
         lin, cone = split_linear_cone(a, b)
-        hyp = interior_domain_check(lin, cone.set)
-        hypothesis_ok = hyp is True
+        hypothesis_ok = interior_domain_check(lin, cone.set)
         mode = "linear+normal-cone"
-        notes = f"interior-domain check: {hyp}"
+        notes = f"interior-domain check: {hypothesis_ok}"
     try:
         lhs_ev = fitz_evaluator(sum_op)
     except ops.UnsupportedOperatorError:
         lhs_ev = None
     max_gap = 0.0
     witnesses = []
-    values = []  # (F, pairing) of the cone sum, for its maximality
     skipped = 0
     points = _sum_points(sum_op, n_points, seed)
     for idx, (z, zs) in enumerate(points):
         rhs = partial_inf_conv(fa, fb, z, zs)
-        values.append((rhs.value, pairing(z, zs)))
         if lhs_ev is not None:
             lhs = lhs_ev.evaluate(z, zs)
         elif math.isinf(rhs.value):
@@ -373,8 +346,7 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
     return SumCheckReport(
         max_gap=max_gap, points_tested=len(points),
         exactness_witnesses=witnesses,
-        maximality=(ops.validate(sum_op).maximal if both_linear
-                    else _sampled_maximality(values, hyp).maximal),
+        maximality=ops.validate(sum_op).maximal,
         hypothesis_ok=hypothesis_ok, mode=mode, notes=notes,
         skipped_points=skipped)
 

@@ -45,10 +45,8 @@ MONOTONE_TOL = 1e-10
 # Membership tolerance for set and graph tests.
 MEMBER_TOL = 1e-9
 
-# interior_domain_check: depth of an interior point; draws and seed of its search.
+# Depth of an interior point: "meets ri C" is "meets C shrunk by this margin".
 INTERIOR_MARGIN = 1e-6
-INTERIOR_BUDGET = 2000
-INTERIOR_SEED = 0
 
 
 class MalformedDescriptorError(ValueError):
@@ -82,17 +80,23 @@ class UnsupportedOperatorError(TypeError):
 # a normal there); cone_values_at(x, ss) per row of x an element of N_C(x)
 # and whether x lies in C (rows off C carry an arbitrary value).
 #
+# meets(q, margin) decides, for Q with orthonormal columns (possibly none),
+# whether ran Q meets C shrunk by the margin (a ball's radius less it, a
+# box's faces moved in by it, a polytope's vertices pulled towards their mean
+# by that fraction, which lands in ri C).  It returns a point of the
+# intersection, or None when the least distance exceeds MEMBER_TOL.
+#
 # subspace_qp(q, hess) serves the Fitzpatrick function of a linear + normal
 # cone sum: for Q with orthonormal columns and H PSD it returns solve(b) ->
 # (s, gap), a maximiser of <b, s> - <s, H s> over {s : Q s in C} and a bound
-# on the gap of its value.  It raises UnsupportedOperatorError when ran Q
-# misses C (for a ball: misses its interior).
+# on the gap of its value.  It starts from the point of ``meets`` and raises
+# UnsupportedOperatorError when ran Q misses C (for a ball: misses its
+# interior).
 
 
-def _require_meets(resid):
-    if float(np.linalg.norm(resid)) > MEMBER_TOL:
-        raise UnsupportedOperatorError(
-            f"the subspace misses the set (distance {np.linalg.norm(resid):.3e})")
+def _perp(q):
+    """Rows: an orthonormal basis of the complement of ran Q."""
+    return complement(Subspace(q.shape[0], q)).basis.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,12 +149,18 @@ class Ball:
     def support_points(self, d) -> np.ndarray:
         return self.center + self.radius * d
 
+    def meets(self, q, margin=0.0):
+        x = q @ (q.T @ self.center)  # the point of ran Q nearest the center
+        far = float(np.linalg.norm(self.center - x)) > self.radius - margin + MEMBER_TOL
+        return None if far else x
+
     def subspace_qp(self, q, hess):
         # a ball of radius rho about s0 in the coordinates s
-        s0 = q.T @ self.center
-        rho = math.sqrt(max(self.radius ** 2 - float(np.sum((self.center - q @ s0) ** 2)), 0.0))
-        if rho <= INTERIOR_MARGIN:
+        x0 = self.meets(q, INTERIOR_MARGIN)
+        if x0 is None:
             raise UnsupportedOperatorError("the subspace misses the interior of the ball")
+        s0 = q.T @ x0
+        rho = math.sqrt(self.radius ** 2 - float(np.sum((self.center - x0) ** 2)))
         lam, vecs = sym_eig(2.0 * hess)
 
         def solve(b):
@@ -218,14 +228,20 @@ class Box:
         ok = np.all((x >= self.lo - MEMBER_TOL) & (x <= self.hi + MEMBER_TOL), axis=1)
         return self._face_signs(x) * g.uniform(0.0, _CONE_VALUE_SCALE, x.shape), ok
 
+    def meets(self, q, margin=0.0):
+        lo, hi, perp = self.lo + margin, self.hi - margin, _perp(q)
+        if np.any(lo >= hi):
+            return None
+        x = 0.5 * (lo + hi)
+        if perp.shape[0]:  # least distance from ran Q: a bound-constrained least squares
+            x = bounded_qp(perp.T @ perp, np.zeros(self.dim), lo, hi, x)[0]
+        return None if float(np.linalg.norm(perp @ x)) > MEMBER_TOL else x
+
     def subspace_qp(self, q, hess):
-        # in x = Q s: lo <= x <= hi and Q_perp' x = 0, from a point of ran Q
-        # in the box (least distance, a bound-constrained least squares)
-        perp = complement(Subspace(self.dim, q)).basis.T
-        x0 = self.interior_point()
-        if perp.shape[0]:
-            x0 = bounded_qp(perp.T @ perp, np.zeros(self.dim), self.lo, self.hi, x0)[0]
-            _require_meets(perp @ x0)
+        # in x = Q s: lo <= x <= hi and Q_perp' x = Q_perp' x0
+        x0, perp = self.meets(q), _perp(q)
+        if x0 is None:
+            raise UnsupportedOperatorError("the subspace misses the box")
         hx, diam = 2.0 * q @ hess @ q.T, float(np.linalg.norm(self.hi - self.lo))
 
         def solve(b):
@@ -343,15 +359,31 @@ class Polytope:
     def cone_values_at(self, x, ss):
         return np.zeros(x.shape), np.array([self.contains(row) for row in x], dtype=bool)
 
+    def meets(self, q, margin=0.0):
+        lam = self._weights(_perp(q), margin)
+        return None if lam is None else lam @ self.matrix
+
+    def _weights(self, perp, margin):
+        """Vertex weights of a point of the hull in ker Q_perp', all at least
+        margin / m: Wolfe's weights of the hull point of the projected
+        vertices nearest 0, after pulling them towards their mean by the
+        fraction ``margin``; None when that point is off 0."""
+        m = self.matrix.shape[0]
+        proj = self.matrix @ perp.T
+        corral, w, y = _wolfe(proj + margin * (proj.mean(axis=0) - proj))
+        if float(np.linalg.norm(y)) > MEMBER_TOL:
+            return None
+        lam = np.zeros(m)
+        lam[corral] = w
+        return (1.0 - margin) * lam + margin / m
+
     def subspace_qp(self, q, hess):
         # in the vertex weights lam: lam >= 0, sum lam = 1 and Q_perp' P lam
-        # = 0, from Wolfe's weights of the hull point of Q_perp' P nearest 0
-        perp = complement(Subspace(self.dim, q)).basis.T
-        m = self.matrix.shape[0]
-        corral, w, y = _wolfe(self.matrix @ perp.T)
-        _require_meets(y)
-        lam0 = np.zeros(m)
-        lam0[corral] = w
+        # = Q_perp' P lam0
+        perp = _perp(q)
+        lam0, m = self._weights(perp, 0.0), self.matrix.shape[0]
+        if lam0 is None:
+            raise UnsupportedOperatorError("the subspace misses the polytope")
         pq = self.matrix @ q
         e, hl = np.vstack([np.ones(m), perp @ self.matrix.T]), 2.0 * pq @ hess @ pq.T
         lo, hi = np.zeros(m), np.full(m, np.inf)
@@ -569,10 +601,10 @@ def validate(op: OperatorDescriptor) -> ValidationReport:
     A); a monotone one is maximal iff dim gra = n, as a map's always is.
     Subdifferentials and normal cones are maximally monotone outright.
     A linear + linear sum gets the verdict of its sum relation.  A maximal
-    linear A plus N_C is maximal when dom A meets int C
-    (:func:`interior_domain_check` answers True), the hypothesis of the sum
-    theorem.  For other sums, monotonicity of every term is reported (a
-    sufficient condition) and maximality is left to the certificates layer.
+    linear A plus N_C is decided by whether dom A meets ri C or C at all
+    (:func:`_cone_sum_maximal`; None when it meets C only on the relative
+    boundary).  For other sums, monotonicity of every term is reported (a
+    sufficient condition) and maximality is left undetermined.
     """
     if isinstance(op, (LinearMapOp, LinearRelationOp)):
         u, v = op.u_block, op.v_block
@@ -594,9 +626,9 @@ def validate(op: OperatorDescriptor) -> ValidationReport:
                 lin, cone = split_linear_cone(*op.terms)
             except UnsupportedOperatorError:
                 lin = None
-            if lin is not None and interior_domain_check(lin, cone.set) is True:
-                return ValidationReport(True, True, "linear + normal cone: dom A meets int C")
-        return ValidationReport(mono, None, "sum: maximality resolved by certificates")
+            if lin is not None:
+                return _cone_sum_maximal(lin, cone.set)
+        return ValidationReport(mono, None, "sum: maximality undetermined")
     if isinstance(op, TranslatedOp):
         inner = validate(op.inner)
         return ValidationReport(inner.monotone, inner.maximal,
@@ -615,58 +647,37 @@ def split_linear_cone(a, b):
         "sums are covered for linear+linear and linear+normal-cone")
 
 
-def interior_domain_check(a, c: ConvexSetDescriptor):
-    """Does dom A meet the interior of C?  True / False / None (inconclusive).
-
-    Exact for full-dimensional domains, the zero domain and line domains
-    (interval arithmetic); higher-dimensional proper subspaces fall back
-    to a seeded search and may come back inconclusive.
-    """
-    if isinstance(c, Polytope):
-        return None  # V-representation offers no cheap interior test
-    d = dom_subspace(a)
-    if c.contains(np.zeros(c.dim), tol=-INTERIOR_MARGIN):
-        return True
-    if d.dim == 0:
+def interior_domain_check(a, c: ConvexSetDescriptor) -> bool:
+    """Does dom A meet the interior of C?  Exact: dom A meets C shrunk by
+    ``INTERIOR_MARGIN`` (see the sets' ``meets``), and a polytope must be
+    full-dimensional, since ri C is int C only then."""
+    if isinstance(c, Polytope) and np.linalg.matrix_rank(c.matrix - c.interior_point()) < c.dim:
         return False
-    if d.dim == c.dim:
-        return True  # ball/box descriptors always have interior points
-    if d.dim == 1:
-        return _line_meets_interior(c, d.basis[:, 0])
-    rng = np.random.default_rng(INTERIOR_SEED)
-    scale = set_extent(c)
-    for _ in range(INTERIOR_BUDGET):
-        t = rng.normal(size=d.dim)
-        if c.contains(d.basis @ (t * scale), tol=-INTERIOR_MARGIN):
-            return True
-    return None
+    return c.meets(dom_subspace(a).basis, INTERIOR_MARGIN) is not None
+
+
+def _cone_sum_maximal(lin, c: ConvexSetDescriptor) -> ValidationReport:
+    """A maximal monotone linear A plus N_C: maximal when D = dom A meets
+    ri C (Rockafellar's qualification ri dom A cap ri C nonempty, as D is
+    a subspace), not maximal when D misses C (the sum's graph is empty),
+    undetermined when D meets C only on its relative boundary."""
+    d = dom_subspace(lin).basis
+    if c.meets(d, INTERIOR_MARGIN) is not None:
+        return ValidationReport(True, True, "linear + normal cone: dom A meets ri C")
+    if c.meets(d) is None:
+        return ValidationReport(True, False, "linear + normal cone: dom A misses C, "
+                                             "so the sum has an empty graph")
+    return ValidationReport(True, None, "linear + normal cone: dom A meets C only on "
+                                        "its relative boundary; maximality undetermined")
 
 
 def set_extent(c):
-    """A bound on the norms of the points of a ball or a box."""
+    """A bound on the norms of the points of a set."""
     if isinstance(c, Ball):
         return float(np.linalg.norm(c.center) + c.radius)
     if isinstance(c, Box):
         return float(np.max(np.abs(np.concatenate([c.lo, c.hi]))))
-    raise UnsupportedOperatorError("sum certificates cover balls and boxes")
-
-
-def _line_meets_interior(c, direction):
-    if isinstance(c, Ball):
-        # |t d - center|^2 < (r - margin)^2 for some t
-        b = -2.0 * float(direction @ c.center)
-        cc = float(c.center @ c.center) - (c.radius - INTERIOR_MARGIN) ** 2
-        return b * b - 4.0 * cc > 0.0
-    lo_t, hi_t = -math.inf, math.inf
-    for di, li, hi_ in zip(direction, c.lo, c.hi):
-        if abs(di) <= 1e-14:
-            if not (li + INTERIOR_MARGIN < 0.0 < hi_ - INTERIOR_MARGIN):
-                return False
-            continue
-        t1, t2 = float((li + INTERIOR_MARGIN) / di), float((hi_ - INTERIOR_MARGIN) / di)
-        lo_t = max(lo_t, min(t1, t2))
-        hi_t = min(hi_t, max(t1, t2))
-    return bool(lo_t < hi_t)
+    return float(np.max(np.linalg.norm(c.matrix, axis=1)))
 
 
 def require_monotone(op) -> ValidationReport:

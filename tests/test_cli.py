@@ -305,7 +305,7 @@ def test_theorem_contradiction_exits_3(specs, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: pairing")
 
 
-def test_sumcheck_linear_plus_polytope_cone_exit_2(tmp_path):
+def test_sumcheck_linear_plus_polytope_cone_exit_0(tmp_path):
     id2 = write_spec(tmp_path, "id2.json", {
         "space_dim": 2,
         "operator": {"kind": "linear_map", "matrix": [[1, 0], [0, 1]]}})
@@ -314,9 +314,39 @@ def test_sumcheck_linear_plus_polytope_cone_exit_2(tmp_path):
         "operator": {"kind": "normal_cone",
                      "set": {"kind": "polytope",
                              "vertices": [[0, 0], [1, 0], [0, 1]]}}})
-    proc = run_cli("sumcheck", id2, tri, "--points", "5")
-    assert proc.returncode == 2, proc.stderr.decode()
-    assert b"balls and boxes" in proc.stderr
+    res = run_json("sumcheck", id2, tri, "--points", "5")["results"]
+    assert res["max_gap"] <= 1e-6
+    assert res["hypothesis_ok"] is True and res["maximal"] is True
+
+
+def test_sumcheck_linear_plus_circle_polytope_cone(tmp_path):
+    angles = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, 200)
+    circle = write_spec(tmp_path, "circle.json", {
+        "space_dim": 2,
+        "operator": {"kind": "normal_cone",
+                     "set": {"kind": "polytope",
+                             "vertices": np.c_[np.cos(angles), np.sin(angles)].tolist()}}})
+    a = write_spec(tmp_path, "a.json", {
+        "space_dim": 2,
+        "operator": {"kind": "linear_map", "matrix": [[1, -1], [1, 1]]}})
+    res = run_json("sumcheck", a, circle, "--points", "8")["results"]
+    assert res["max_gap"] <= 1e-6 and res["maximal"] is True
+
+
+def test_sumcheck_reports_an_undetermined_verdict_as_null(tmp_path):
+    # dom A = span e2 meets [0, 1] x [-1, 1] only on its face x1 = 0
+    rel = write_spec(tmp_path, "rel.json", {
+        "space_dim": 2,
+        "operator": {"kind": "linear_relation",
+                     "graph_basis": [[0, 1, 0, 0], [0, 0, 1, 0]]}})
+    box = write_spec(tmp_path, "box.json", {
+        "space_dim": 2,
+        "operator": {"kind": "normal_cone",
+                     "set": {"kind": "box", "lo": [0, -1], "hi": [1, 1]}}})
+    proc = run_cli("sumcheck", rel, box, "--points", "6")
+    res = json.loads(proc.stdout)["results"]
+    assert res["maximal"] is None and b'"maximal": null' in proc.stdout
+    assert res["hypothesis_ok"] is False and proc.returncode == 2, proc.stderr.decode()
 
 
 def test_sumcheck_reports_skipped_points(specs, tmp_path):

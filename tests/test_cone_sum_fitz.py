@@ -392,8 +392,8 @@ def test_validate_decides_cone_sums_by_the_interior_hypothesis():
     assert ops.validate(SumOp((box, line_max))).maximal is None
     vertical = LinearRelationOp.from_graph_columns(
         np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]).T, dim=2)
-    # dom = span(e2) misses int [1, 2] x [-1, 1]: the hypothesis fails
-    assert ops.validate(SumOp((vertical, box))).maximal is None
+    # dom = span(e2) misses [1, 2] x [-1, 1]: the sum has an empty graph
+    assert ops.validate(SumOp((vertical, box))).maximal is False
 
 
 def test_cli_import_leaves_scipy_unloaded():
