@@ -1,18 +1,23 @@
-"""Decision procedures and numerical certificates: non-enlargeability via
-the adjoint-graph criterion, the Fitzpatrick-family singleton check, and
-the sum theorems (exactness of the partial inf-convolution, maximality,
-non-enlargeability of sums).
+"""Decision procedures and numerical certificates: non-enlargeability,
+one exact rule per operator kind (:func:`non_enlargeable`), the
+Fitzpatrick-family singleton check, and the sum theorems (exactness of the
+partial inf-convolution, maximality, non-enlargeability of sums).
 
-Exact criteria used on R^n:
+Exact criteria used on R^n, where a maximally monotone operator is
+non-enlargeable iff its graph is affine and its linear part passes the
+adjoint criterion (Svaiter 2010):
 
 * a maximally monotone linear relation is non-enlargeable iff
   gra(-A*) is contained in gra A, in which case the pairing vanishes on
   gra(-A*);
 * a monotone single-valued linear map is non-enlargeable iff it is skew;
+* N_C, and a maximal linear A plus N_C, are non-enlargeable iff the domain
+  (C, or dom A cap C) is one point p: the graph is then {p} x R^n;
+* the norm subdifferential is enlargeable;
 * a monotone linear relation is maximal iff dim gra = n;
-* a maximally monotone linear A plus N_C is maximal when dom A meets ri C
-  (Rockafellar's qualification) and not maximal when dom A misses C; when
-  dom A meets C only on its relative boundary the verdict is None.
+* a maximally monotone linear A plus N_C is maximal iff dom A meets C, for
+  a box or polytope C (the polyhedral sum rule), and iff dom A meets int C
+  or dom A = {0} (and meets C) for a ball.
 
 Hypothesis failures of the sum theorems never abort a computation; the
 reports carry an advisory flag instead, since the hypotheses are
@@ -22,23 +27,28 @@ sufficient, not necessary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import operators as ops
+from .enlargement import enl_member, eps_subdiff_slice
 from .fitzpatrick import (
     fitz_bruteforce,
     fitz_evaluator,
     pairing,
     partial_inf_conv,
 )
-from .linalg import Subspace, as_vector, contains as span_contains, orthonormalize
+from .linalg import Subspace, as_vector, contains as span_contains
 from .operators import interior_domain_check, set_extent, split_linear_cone
 
 SIDE_CLAIM_TOL = 1e-10
 INCLUSION_TOL = 1e-9
+
+# Halvings of the witness step along aff dom before giving up (the step
+# enters the 1/2-enlargement once it is small, F being continuous there).
+WITNESS_HALVINGS = 60
 
 
 class GraphNotAffineError(ValueError):
@@ -53,7 +63,7 @@ class PreconditionFailedError(ValueError):
 class NonEnlargeableCertificate:
     verdict: bool
     witness: Optional[tuple]  # (x, x*) in gra(-A*) \ gra A when enlargeable
-    method: str               # adjoint-inclusion | skew-test | affine-shift
+    method: str  # adjoint-inclusion | skew-test | affine-shift | norm-subdiff | domain-face
     detail: str = ""
 
 
@@ -110,42 +120,96 @@ def non_enlargeable_single_valued(a: ops.LinearMapOp) -> NonEnlargeableCertifica
         "pair joins the enlargement at eps = 1/2")
 
 
-def _affine_directions(pairs, base):
-    """Span of the sampled graph pairs minus the base pair, in R^2n."""
-    stacked = np.concatenate(base)
-    diffs = pairs.reshape(pairs.shape[0], -1) - stacked
-    return orthonormalize(diffs.T, ambient_dim=stacked.shape[0])
+def _shifted(witness, x, xs):
+    return None if witness is None else (witness[0] + x, witness[1] + xs)
 
 
-def non_enlargeable_affine(op: ops.OperatorDescriptor, base,
-                           count=400, radius=4.0, seed=0) -> NonEnlargeableCertificate:
+def _graph_directions(op) -> Subspace:
+    """The subspace parallel to an affine graph, read from the kind: a
+    linear map, relation or linear sum is its graph, and a translation has
+    its inner operator's.  The zoo's other kinds have an affine graph iff
+    they are non-enlargeable: the graph is then {p} x R^n."""
+    if isinstance(op, ops.TranslatedOp):
+        return _graph_directions(op.inner)
+    lin = ops.linear_form(op)
+    if lin is not None:
+        return ops.graph_subspace(lin)
+    if non_enlargeable(op).verdict:
+        return Subspace(2 * op.dim, np.eye(2 * op.dim)[:, op.dim:])
+    raise GraphNotAffineError(f"the graph of this {type(op).__name__} is not affine")
+
+
+def non_enlargeable_affine(op: ops.OperatorDescriptor, base) -> NonEnlargeableCertificate:
     """Shift an affine-graph operator by a graph point and delegate to the
-    linear-relation criterion.
-
-    Affineness is checked on samples: the difference directions may span at
-    most an n-dimensional subspace and sampled midpoints must stay on the
-    graph (convexity); either failure raises GraphNotAffineError.
-    """
+    linear-relation criterion; a kind whose graph is not affine raises
+    GraphNotAffineError (see :func:`_graph_directions`)."""
     n = op.dim
     bx, bxs = as_vector(base[0], n), as_vector(base[1], n)
     if not ops.graph_member(op, bx, bxs, tol=1e-8):
         raise PreconditionFailedError("base point is not on the graph")
-    pairs = ops.sample_graph(op, count, radius, seed)
-    directions = _affine_directions(pairs, (bx, bxs))
-    if directions.dim > n:
-        raise GraphNotAffineError(
-            f"difference directions span {directions.dim} > n = {n} dimensions")
-    for (x1, xs1), (x2, xs2) in zip(pairs[0::7], pairs[1::7]):
-        mx, mxs = 0.5 * (x1 + x2), 0.5 * (xs1 + xs2)
-        if not ops.graph_member(op, mx, mxs, tol=1e-8):
-            raise GraphNotAffineError("sampled midpoint leaves the graph")
-    shifted = ops.LinearRelationOp(directions)
-    inner = non_enlargeable_linear_relation(shifted)
-    witness = inner.witness
-    if witness is not None:
-        witness = (witness[0] + bx, witness[1] + bxs)
-    return NonEnlargeableCertificate(inner.verdict, witness, "affine-shift",
-                                     f"after shift by base: {inner.detail}")
+    inner = non_enlargeable_linear_relation(ops.LinearRelationOp(_graph_directions(op)))
+    return NonEnlargeableCertificate(inner.verdict, _shifted(inner.witness, bx, bxs),
+                                     "affine-shift", f"after shift by base: {inner.detail}")
+
+
+def _domain_certificate(op) -> NonEnlargeableCertificate:
+    """N_C (A = 0) or a maximal linear A plus N_C, whose domain is D cap C
+    (D = dom A): non-enlargeable iff the domain is one point p, the graph
+    being {p} x R^n.  Otherwise the witness is (x, A x + delta d): x in
+    ri(D cap C) and d a unit direction of its affine hull, so that A x +
+    delta d is off the graph, and delta halved until the closed-form
+    :func:`enl_member` puts the pair in the enlargement at eps = 1/2."""
+    if isinstance(op, ops.NormalConeOp):
+        lin, cone = ops.LinearMapOp(np.zeros((op.dim, op.dim))), op
+    else:
+        lin, cone = split_linear_cone(*op.terms)
+    q = ops.dom_subspace(lin).basis
+    x, dirs = cone.set.face(q)
+    if dirs.shape[1] == 0:
+        return NonEnlargeableCertificate(True, None, "domain-face",
+                                         "the domain is one point p, so the graph is {p} x R^n")
+    x = q @ (q.T @ x)
+    y = ops.apply(lin, x).point
+    for k in range(WITNESS_HALVINGS):
+        xs = y + 0.5 ** k * dirs[:, 0]
+        if enl_member(op, x, xs, 0.5).member:
+            return NonEnlargeableCertificate(
+                False, (x, xs), "domain-face",
+                f"x in ri dom, x* = A x + {0.5 ** k:g} d with d along aff dom: off the "
+                "graph and in the enlargement at eps = 1/2")
+    raise RuntimeError("no step along aff dom enters the enlargement at eps = 1/2")
+
+
+def non_enlargeable(op: ops.OperatorDescriptor) -> NonEnlargeableCertificate:
+    """Non-enlargeability of a maximally monotone operator, one exact rule
+    per kind: the skew test for a linear map; the adjoint test for a linear
+    relation or a linear + linear sum (on its sum relation); a translation's
+    inner verdict with the witness shifted; False for the norm
+    subdifferential; for N_C and a linear A plus N_C, True iff the domain
+    is one point (:func:`_domain_certificate`).
+
+    Raises NotMonotoneError or NotMaximalError unless
+    :func:`operators.validate` finds the operator maximal.
+    """
+    ops.require_maximal(op)
+    lin = ops.linear_form(op)
+    if isinstance(lin, ops.LinearMapOp):
+        return non_enlargeable_single_valued(lin)
+    if lin is not None:
+        return non_enlargeable_linear_relation(lin)
+    if isinstance(op, ops.TranslatedOp):
+        inner = non_enlargeable(op.inner)
+        return NonEnlargeableCertificate(inner.verdict,
+                                         _shifted(inner.witness, op.shift_x, op.shift_xs),
+                                         inner.method, f"translation of: {inner.detail}")
+    if isinstance(op, ops.NormSubdiffOp):
+        # p = 1: (e1, e1/2); p > 1: (0, z*) just inside the slice (d f)_{1/2}(0)
+        e1 = np.eye(op.dim)[0]
+        witness = (e1, 0.5 * e1) if op.p == 1.0 else \
+            (0.0 * e1, (1.0 - 1e-3) * eps_subdiff_slice(op, 0.5).radius * e1)
+        return NonEnlargeableCertificate(False, witness, "norm-subdiff",
+                                         "the witness joins the enlargement at eps = 1/2")
+    return _domain_certificate(op)
 
 
 # ---------------------------------------------------------------------------
@@ -162,43 +226,27 @@ class SingletonCheckReport:
 
 
 def fitz_singleton_check(op, n_samples=150, seed=0) -> SingletonCheckReport:
-    """Check F = pairing + indicator(graph) against the enlargeability verdict.
+    """Check F = pairing + indicator(graph) against :func:`non_enlargeable`.
 
-    Non-enlargeable operators must show F = pairing on graph samples and
-    F = +inf at every off-graph probe; enlargeable ones must exhibit a
-    finite off-graph value.
+    F must equal the pairing on graph samples.  A non-enlargeable operator
+    must show F = +inf at every off-graph probe; the witness of an
+    enlargeable one must be an off-graph pair with finite F.
     """
-    if isinstance(op, ops.LinearMapOp):
-        expected = non_enlargeable_single_valued(op).verdict
-    elif isinstance(op, ops.LinearRelationOp):
-        expected = non_enlargeable_linear_relation(op).verdict
-    else:
-        expected = False  # the non-linear zoo members are all enlargeable
-    ev = fitz_evaluator(op)
-    rng = np.random.default_rng(seed)
-    graph_ok = True
-    for x, xs in ops.sample_graph(op, n_samples, 3.0, seed):
-        if abs(ev.evaluate(x, xs) - pairing(x, xs)) > 1e-9:
-            graph_ok = False
-            break
-    off_ok = True
+    cert = non_enlargeable(op)
+    expected, ev = cert.verdict, fitz_evaluator(op)
+    graph_ok = all(abs(ev.evaluate(x, xs) - pairing(x, xs)) <= 1e-9
+                   for x, xs in ops.sample_graph(op, n_samples, 3.0, seed))
     example = None
-    for x, xs in ops.sample_graph(op, n_samples, 3.0, seed + 1):
-        d = rng.normal(size=op.dim)
-        d /= max(np.linalg.norm(d), 1e-12)
-        probe = xs + 0.5 * d
-        if ops.graph_member(op, x, probe, tol=1e-7):
-            continue
-        val = ev.evaluate(x, probe)
-        if expected:
-            if math.isfinite(val):
-                off_ok = False
-                break
-        elif math.isfinite(val):
-            example = ((x, probe), val)
-            break
-    if not expected:
-        off_ok = example is not None
+    if expected:
+        d = np.random.default_rng(seed).normal(size=(n_samples, op.dim))
+        probes = ((x, xs + 0.5 * u / max(np.linalg.norm(u), 1e-12)) for (x, xs), u
+                  in zip(ops.sample_graph(op, n_samples, 3.0, seed + 1), d))
+        off_ok = not any(math.isfinite(ev.evaluate(x, p)) for x, p in probes
+                         if not ops.graph_member(op, x, p, tol=1e-7))
+    else:
+        value = ev.evaluate(*cert.witness)
+        off_ok = math.isfinite(value) and not ops.graph_member(op, *cert.witness, tol=1e-7)
+        example = (cert.witness, value) if off_ok else None
     return SingletonCheckReport(
         expected_singleton=expected, graph_equality_ok=graph_ok,
         off_graph_ok=off_ok, finite_off_graph_example=example,
@@ -211,8 +259,7 @@ def fitz_singleton_check(op, n_samples=150, seed=0) -> SingletonCheckReport:
 
 @dataclass(frozen=True, eq=False)
 class MaximalityCertificate:
-    maximal: Optional[bool]  # None = undetermined
-    exact: bool   # every verdict rests on an exact criterion
+    maximal: Optional[bool]  # None = undetermined (a term not maximal, or no linear term)
     detail: str = ""
 
 
@@ -226,17 +273,19 @@ class SumCheckReport:
     mode: str
     notes: str = ""
     skipped_points: int = 0  # cone-sum points left unchecked (rhs = +inf)
+    sum_op: Optional[ops.SumOp] = field(default=None, repr=False)  # the sum checked
 
 
 def sum_maximality(a, b) -> MaximalityCertificate:
     """Maximality of A + B, as :func:`operators.validate` decides it: by the
-    dimension of the sum graph for linear + linear, by whether dom A meets
-    ri C or C at all for linear + normal cone (None: undetermined)."""
+    dimension of the sum graph for linear + linear; for a maximal linear A
+    plus N_C, by whether dom A meets C (box, polytope) or int C (ball, or
+    dom A = {0})."""
     sum_op = ops.SumOp((a, b))
     if sum_op.relation is None:
         ops.require_monotone(split_linear_cone(a, b)[0])
     rep = ops.validate(sum_op)
-    return MaximalityCertificate(rep.maximal, True, rep.detail)
+    return MaximalityCertificate(rep.maximal, rep.detail)
 
 
 def _sum_points(op: ops.SumOp, n_points, seed):
@@ -304,7 +353,8 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
     ``skipped_points``.  A violated hypothesis flags the report as advisory
     but the check still runs.
 
-    ``maximality`` is the exact verdict of :func:`sum_maximality`.
+    ``maximality`` is the exact verdict of :func:`sum_maximality`, and
+    ``sum_op`` the sum, for callers that go on to certify it.
     """
     fa, fb = fitz_evaluator(a), fitz_evaluator(b)
     sum_op = ops.SumOp((a, b))
@@ -348,7 +398,7 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
         exactness_witnesses=witnesses,
         maximality=ops.validate(sum_op).maximal,
         hypothesis_ok=hypothesis_ok, mode=mode, notes=notes,
-        skipped_points=skipped)
+        skipped_points=skipped, sum_op=sum_op)
 
 
 def sum_non_enlargeable(a, b) -> NonEnlargeableCertificate:
@@ -361,13 +411,8 @@ def sum_non_enlargeable(a, b) -> NonEnlargeableCertificate:
     rel = ops.SumOp((a, b)).relation
     if rel is None:
         raise ops.UnsupportedOperatorError("sum certificate needs linear terms")
-    for term in (a, b):
-        if isinstance(term, ops.LinearMapOp):
-            cert = non_enlargeable_single_valued(term)
-        else:
-            cert = non_enlargeable_linear_relation(term)
-        if not cert.verdict:
-            raise PreconditionFailedError("summand is enlargeable")
+    if not (non_enlargeable(a).verdict and non_enlargeable(b).verdict):
+        raise PreconditionFailedError("summand is enlargeable")
     out = non_enlargeable_linear_relation(rel)
     if not out.verdict:
         raise RuntimeError("sum of non-enlargeable relations tested enlargeable; "

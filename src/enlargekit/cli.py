@@ -168,64 +168,16 @@ def _classification(op):
         "non_enlargeable": None,
         "detail": report.detail,
     }
-    lin = op.relation if isinstance(op, ops.SumOp) else op
-    if isinstance(lin, (ops.LinearMapOp, ops.LinearRelationOp)):
+    lin = ops.linear_form(op)
+    if lin is not None:
         res["symmetric"] = ops.is_symmetric(lin)
         res["skew"] = ops.is_skew(lin)
-    if not report.monotone:
-        return res
-    verdict, witness = _non_enlargeable(op)
-    res["non_enlargeable"] = verdict
-    if witness is not None:
-        res["witness"] = {"x": witness[0], "xs": witness[1]}
+    if report.maximal:  # non-enlargeability is defined for maximal operators
+        c = cert.non_enlargeable(op)
+        res["non_enlargeable"] = c.verdict
+        if c.witness is not None:
+            res["witness"] = {"x": c.witness[0], "xs": c.witness[1]}
     return res
-
-
-def _non_enlargeable(op):
-    if isinstance(op, ops.LinearMapOp):
-        c = cert.non_enlargeable_single_valued(op)
-        return c.verdict, c.witness
-    if isinstance(op, ops.LinearRelationOp):
-        if ops.validate(op).maximal is not True:
-            return None, None
-        c = cert.non_enlargeable_linear_relation(op)
-        return c.verdict, c.witness
-    if isinstance(op, ops.SumOp):
-        return _non_enlargeable(op.relation)  # None falls through: no verdict
-    if isinstance(op, ops.NormSubdiffOp):
-        return False, _subdiff_witness(op)
-    if isinstance(op, ops.NormalConeOp):
-        return _cone_non_enlargeable(op)
-    return None, None
-
-
-def _subdiff_witness(op):
-    e1 = np.zeros(op.dim)
-    e1[0] = 1.0
-    if op.p == 1.0:
-        return e1, 0.5 * e1  # member at eps = 1/2, off the graph
-    r = enl.eps_subdiff_slice(op, 0.5).radius
-    return np.zeros(op.dim), (1.0 - 1e-3) * r * e1
-
-
-def _cone_non_enlargeable(op):
-    c = op.set
-    if isinstance(c, ops.Polytope) and \
-            all(np.allclose(v, c.vertices[0]) for v in c.vertices):
-        # singleton set: the graph {v} x R^n is affine and non-enlargeable
-        base = (c.vertices[0], np.zeros(op.dim))
-        return cert.non_enlargeable_affine(op, base).verdict, None
-    x0 = c.interior_point()
-    for i in range(op.dim):
-        d = np.zeros(op.dim)
-        d[i] = 1.0
-        m = c.support(d) - float(x0 @ d)
-        if m <= 1e-9:
-            continue
-        xs = (0.25 / m) * d  # support slack 0.25 <= eps = 1/2
-        if not ops.graph_member(op, x0, xs, tol=1e-9):
-            return False, (x0, xs)
-    return False, None
 
 
 def cmd_classify(args):
@@ -281,15 +233,13 @@ def cmd_fitz(args):
 # ---------------------------------------------------------------------------
 
 def _slice_operator(op):
-    if isinstance(op, ops.SumOp):
-        op = op.relation
-    if isinstance(op, ops.LinearMapOp):
-        return op
-    if isinstance(op, ops.LinearRelationOp):
-        m = ops.relation_as_map(op)
-        if m is not None:
-            return m
-    raise InputError("--slice-at needs a single-valued linear operator")
+    lin = ops.linear_form(op)
+    if isinstance(lin, ops.LinearMapOp):
+        return lin
+    m = None if lin is None else ops.relation_as_map(lin)
+    if m is None:
+        raise InputError("--slice-at needs a single-valued linear operator")
+    return m
 
 
 def _write_boundary_csv(path, x, points):
@@ -379,7 +329,7 @@ def cmd_sumcheck(args):
         print(f"error: no sampled point had a finite value ({report.skipped_points} "
               f"of {report.points_tested} skipped)", file=sys.stderr)
         return EXIT_ANOMALY
-    non_enl, _ = _non_enlargeable(ops.SumOp((op_a, op_b)))
+    non_enl = cert.non_enlargeable(report.sum_op).verdict if report.maximality else None
     worst_resid = max((w[2] for w in report.exactness_witnesses), default=0.0)
     results = {
         "mode": report.mode,

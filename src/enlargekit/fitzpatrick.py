@@ -163,7 +163,8 @@ class ConeSumQP:
     @classmethod
     def build(cls, lin, c) -> "ConeSumQP":
         # +inf off C cap D needs A(0) = D-perp (A maximal), and the set's
-        # subspace_qp refuses C cap D empty or a ball that D only touches
+        # subspace_qp refuses C cap D empty or a ball that D != {0} only
+        # touches (the sum is then not maximal)
         if not ops.require_monotone(lin).maximal:
             raise ops.UnsupportedOperatorError("cone-sum closed form needs a maximal A")
         q = ops.dom_subspace(lin).basis

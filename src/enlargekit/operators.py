@@ -33,6 +33,7 @@ from .linalg import (
     bounded_qp,
     complement,
     contains,
+    intersect,
     null_space,
     orthonormalize,
     sym_eig,
@@ -86,12 +87,17 @@ class UnsupportedOperatorError(TypeError):
 # by that fraction, which lands in ri C).  It returns a point of the
 # intersection, or None when the least distance exceeds MEMBER_TOL.
 #
+# face(q) describes ran Q cap C: a point of its relative interior and an
+# orthonormal basis (columns) of the directions of its affine hull, or None
+# when ran Q misses C.  A constraint of C counts as holding with equality on
+# ran Q cap C when tightening it by INTERIOR_MARGIN makes ran Q miss C.
+#
 # subspace_qp(q, hess) serves the Fitzpatrick function of a linear + normal
 # cone sum: for Q with orthonormal columns and H PSD it returns solve(b) ->
 # (s, gap), a maximiser of <b, s> - <s, H s> over {s : Q s in C} and a bound
 # on the gap of its value.  It starts from the point of ``meets`` and raises
 # UnsupportedOperatorError when ran Q misses C (for a ball: misses its
-# interior).
+# interior, unless ran Q = {0}).
 
 
 def _perp(q):
@@ -154,13 +160,22 @@ class Ball:
         far = float(np.linalg.norm(self.center - x)) > self.radius - margin + MEMBER_TOL
         return None if far else x
 
+    def face(self, q):
+        # a subspace that meets the sphere alone touches the ball at one point
+        x = self.meets(q, INTERIOR_MARGIN)
+        if x is not None:
+            return x, q
+        x = self.meets(q)
+        return None if x is None else (x, q[:, :0])
+
     def subspace_qp(self, q, hess):
-        # a ball of radius rho about s0 in the coordinates s
-        x0 = self.meets(q, INTERIOR_MARGIN)
+        # a ball of radius rho about s0 in the coordinates s; ran Q = {0}
+        # may touch the ball (the sum's graph is then {0} x R^n)
+        x0 = self.meets(q, INTERIOR_MARGIN if q.shape[1] else 0.0)
         if x0 is None:
             raise UnsupportedOperatorError("the subspace misses the interior of the ball")
         s0 = q.T @ x0
-        rho = math.sqrt(self.radius ** 2 - float(np.sum((self.center - x0) ** 2)))
+        rho = math.sqrt(max(self.radius ** 2 - float(np.sum((self.center - x0) ** 2)), 0.0))
         lam, vecs = sym_eig(2.0 * hess)
 
         def solve(b):
@@ -229,6 +244,7 @@ class Box:
         return self._face_signs(x) * g.uniform(0.0, _CONE_VALUE_SCALE, x.shape), ok
 
     def meets(self, q, margin=0.0):
+        # margin may be a vector: one depth per coordinate
         lo, hi, perp = self.lo + margin, self.hi - margin, _perp(q)
         if np.any(lo >= hi):
             return None
@@ -236,6 +252,17 @@ class Box:
         if perp.shape[0]:  # least distance from ran Q: a bound-constrained least squares
             x = bounded_qp(perp.T @ perp, np.zeros(self.dim), lo, hi, x)[0]
         return None if float(np.linalg.norm(perp @ x)) > MEMBER_TOL else x
+
+    def face(self, q):
+        # coordinate i sits on a face of C all over ran Q cap C when the box
+        # shrunk in that coordinate alone misses ran Q
+        pts = [self.meets(q, INTERIOR_MARGIN * e) for e in np.eye(self.dim)]
+        tight = [x is None for x in pts]
+        pts = [x for x in pts if x is not None]
+        x = np.mean(pts, axis=0) if pts else self.meets(q)
+        if x is None:
+            return None
+        return x, null_space(np.vstack([_perp(q), np.eye(self.dim)[tight]]))
 
     def subspace_qp(self, q, hess):
         # in x = Q s: lo <= x <= hi and Q_perp' x = Q_perp' x0
@@ -360,28 +387,44 @@ class Polytope:
         return np.zeros(x.shape), np.array([self.contains(row) for row in x], dtype=bool)
 
     def meets(self, q, margin=0.0):
-        lam = self._weights(_perp(q), margin)
+        m = self.matrix.shape[0]
+        lam = self._weights(_perp(q), np.full(m, margin / m))
         return None if lam is None else lam @ self.matrix
 
-    def _weights(self, perp, margin):
-        """Vertex weights of a point of the hull in ker Q_perp', all at least
-        margin / m: Wolfe's weights of the hull point of the projected
-        vertices nearest 0, after pulling them towards their mean by the
-        fraction ``margin``; None when that point is off 0."""
+    def face(self, q):
+        # vertex i carries weight at a point of ran Q cap C when pulling the
+        # hull towards it keeps the hull meeting ran Q
+        perp, m = _perp(q), self.matrix.shape[0]
+        found = [w for w in (self._weights(perp, INTERIOR_MARGIN * e) for e in np.eye(m))
+                 if w is not None]
+        if not found:
+            return None
+        lam = np.mean(found, axis=0)
+        verts = self.matrix[lam > 0.0]
+        hull = orthonormalize((verts - verts[0]).T, self.dim)
+        return lam @ self.matrix, intersect(hull, Subspace(self.dim, q)).basis
+
+    def _weights(self, perp, pull):
+        """Vertex weights of a point of the hull in ker Q_perp', at least
+        ``pull`` (nonnegative weights of sum below 1): Wolfe's weights of the
+        hull point of the projected vertices nearest 0, after moving each
+        vertex v to (1 - sum pull) v + pull @ vertices; None when that point
+        is off 0."""
         m = self.matrix.shape[0]
         proj = self.matrix @ perp.T
-        corral, w, y = _wolfe(proj + margin * (proj.mean(axis=0) - proj))
+        corral, w, y = _wolfe(proj + (pull @ proj - pull.sum() * proj))
         if float(np.linalg.norm(y)) > MEMBER_TOL:
             return None
         lam = np.zeros(m)
         lam[corral] = w
-        return (1.0 - margin) * lam + margin / m
+        return (1.0 - pull.sum()) * lam + pull
 
     def subspace_qp(self, q, hess):
         # in the vertex weights lam: lam >= 0, sum lam = 1 and Q_perp' P lam
         # = Q_perp' P lam0
         perp = _perp(q)
-        lam0, m = self._weights(perp, 0.0), self.matrix.shape[0]
+        m = self.matrix.shape[0]
+        lam0 = self._weights(perp, np.zeros(m))
         if lam0 is None:
             raise UnsupportedOperatorError("the subspace misses the polytope")
         pq = self.matrix @ q
@@ -601,10 +644,10 @@ def validate(op: OperatorDescriptor) -> ValidationReport:
     A); a monotone one is maximal iff dim gra = n, as a map's always is.
     Subdifferentials and normal cones are maximally monotone outright.
     A linear + linear sum gets the verdict of its sum relation.  A maximal
-    linear A plus N_C is decided by whether dom A meets ri C or C at all
-    (:func:`_cone_sum_maximal`; None when it meets C only on the relative
-    boundary).  For other sums, monotonicity of every term is reported (a
-    sufficient condition) and maximality is left undetermined.
+    linear A plus N_C is decided exactly from how dom A meets C
+    (:func:`_cone_sum_maximal`).  For other sums (a term that is not
+    maximal, or no linear term) monotonicity of every term is reported (a
+    sufficient condition) and maximality is left undetermined (None).
     """
     if isinstance(op, (LinearMapOp, LinearRelationOp)):
         u, v = op.u_block, op.v_block
@@ -636,6 +679,14 @@ def validate(op: OperatorDescriptor) -> ValidationReport:
     raise MalformedDescriptorError(f"unknown descriptor {type(op)!r}")
 
 
+def linear_form(op):
+    """The linear map or relation that ``op`` is: itself, or the sum
+    relation of a linear + linear sum; None for any other operator."""
+    if isinstance(op, SumOp):
+        return op.relation
+    return op if isinstance(op, (LinearMapOp, LinearRelationOp)) else None
+
+
 def split_linear_cone(a, b):
     """(linear term, normal-cone term) of a linear map or relation plus a
     normal cone, in either order; any other pair raises
@@ -657,18 +708,29 @@ def interior_domain_check(a, c: ConvexSetDescriptor) -> bool:
 
 
 def _cone_sum_maximal(lin, c: ConvexSetDescriptor) -> ValidationReport:
-    """A maximal monotone linear A plus N_C: maximal when D = dom A meets
-    ri C (Rockafellar's qualification ri dom A cap ri C nonempty, as D is
-    a subspace), not maximal when D misses C (the sum's graph is empty),
-    undetermined when D meets C only on its relative boundary."""
+    """A maximal monotone linear A plus N_C, decided from D = dom A:
+
+    * D meets ri C: maximal (Rockafellar's qualification, D being a subspace);
+    * D misses C: not maximal (the sum's graph is empty);
+    * D meets a box or polytope C only on its relative boundary: maximal, by
+      the polyhedral sum rule, which needs no interior point (Rockafellar
+      1970, Thm 23.8);
+    * D touches a ball C: D cap C is one point p with p - c in D-perp, so
+      the graph is {p} x (A p + D-perp), maximal iff D = {0}.
+    """
     d = dom_subspace(lin).basis
     if c.meets(d, INTERIOR_MARGIN) is not None:
         return ValidationReport(True, True, "linear + normal cone: dom A meets ri C")
     if c.meets(d) is None:
         return ValidationReport(True, False, "linear + normal cone: dom A misses C, "
                                              "so the sum has an empty graph")
-    return ValidationReport(True, None, "linear + normal cone: dom A meets C only on "
-                                        "its relative boundary; maximality undetermined")
+    if not isinstance(c, Ball):
+        return ValidationReport(True, True, "linear + normal cone: dom A meets the "
+                                            "polyhedral C on its relative boundary")
+    return ValidationReport(True, d.shape[1] == 0,
+                            "linear + normal cone: dom A touches the ball at one point "
+                            "p, so the graph {p} x (A p + dom A-perp) is maximal iff "
+                            "dom A = {0}")
 
 
 def set_extent(c):
@@ -768,8 +830,7 @@ def sum_relation(a, b) -> LinearRelationOp:
     s2[:n, :kb] = rb.graph.basis[:n]
     s2[2 * n:, :kb] = rb.graph.basis[n:]
     s2[n: 2 * n, kb:] = np.eye(n)
-    from .linalg import intersect as _intersect
-    common = _intersect(orthonormalize(s1, ambient_dim=3 * n),
+    common = intersect(orthonormalize(s1, ambient_dim=3 * n),
                         orthonormalize(s2, ambient_dim=3 * n))
     t = common.basis
     cols = np.vstack([t[:n], t[n: 2 * n] + t[2 * n:]])
@@ -824,8 +885,10 @@ class RayValue:
     direction: np.ndarray
 
     @property
-    def generators(self) -> np.ndarray:
-        return self.direction[:, None]
+    def rows(self) -> np.ndarray:
+        """The cone as {u : rows @ u <= 0}."""
+        perp = np.eye(self.direction.shape[0]) - np.outer(self.direction, self.direction)
+        return np.vstack([-self.direction, perp, -perp])
 
     def contains(self, u, tol=MEMBER_TOL) -> bool:
         u = as_vector(u, self.direction.shape[0])
@@ -845,8 +908,10 @@ class FaceConeValue:
     signs: np.ndarray
 
     @property
-    def generators(self) -> np.ndarray:
-        return np.diag(self.signs)[:, self.signs != 0]
+    def rows(self) -> np.ndarray:
+        """The cone as {u : rows @ u <= 0}."""
+        free = np.eye(self.signs.shape[0])[self.signs == 0]
+        return np.vstack([-np.diag(self.signs)[self.signs != 0], free, -free])
 
     def contains(self, u, tol=MEMBER_TOL) -> bool:
         u = as_vector(u, self.signs.shape[0])
@@ -854,28 +919,6 @@ class FaceConeValue:
         ok_up = np.all(u[self.signs > 0] >= -tol)
         ok_dn = np.all(u[self.signs < 0] <= tol)
         return bool(ok_free and ok_up and ok_dn)
-
-
-@dataclass(frozen=True, eq=False)
-class AffineConeValue:
-    """point + span(directions) + {generators c : c >= 0}.
-
-    u belongs to it iff the least squares min over s and c >= 0 of
-    ||u - point - D s - G c|| (D the directions, G the generators) is 0,
-    a bound-constrained QP."""
-
-    point: np.ndarray
-    directions: Subspace
-    generators: np.ndarray
-
-    def contains(self, u, tol=MEMBER_TOL) -> bool:
-        u = as_vector(u, self.point.shape[0])
-        a = np.hstack([self.directions.basis, self.generators])
-        k, j = self.directions.dim, self.generators.shape[1]
-        d = u - self.point
-        lo = np.concatenate([np.full(k, -np.inf), np.zeros(j)])
-        x = bounded_qp(a.T @ a, a.T @ d, lo, np.full(k + j, np.inf), np.zeros(k + j))[0]
-        return float(np.linalg.norm(d - a @ x)) <= tol * (1.0 + float(np.linalg.norm(u)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -887,6 +930,31 @@ class ConeByInequalities:
     def contains(self, u, tol=MEMBER_TOL) -> bool:
         u = as_vector(u, self.rows.shape[1])
         return bool(np.all(self.rows @ u <= tol * (1.0 + np.linalg.norm(u))))
+
+
+@dataclass(frozen=True, eq=False)
+class AffineConeValue:
+    """point + span(directions) + {u : rows @ u <= 0}.
+
+    u belongs to it iff rows (u - point - D s) <= 0 for some s (D the
+    directions), i.e. iff the least squares min over s and z <= 0 of
+    ||rows D s + z - rows (u - point)|| is 0, a bounded QP.  (Moreau's test
+    in the polar cone's multipliers has the Hessian rows rows', singular when
+    there are more rows than dimensions, where the active-set solver takes
+    rounding for a descent ray.)"""
+
+    point: np.ndarray
+    directions: Subspace
+    rows: np.ndarray
+
+    def contains(self, u, tol=MEMBER_TOL) -> bool:
+        u = as_vector(u, self.point.shape[0])
+        rd, b = self.rows @ self.directions.basis, self.rows @ (u - self.point)
+        m, k = rd.shape
+        a = np.hstack([rd, np.eye(m)])
+        hi = np.concatenate([np.full(k, np.inf), np.zeros(m)])
+        x = bounded_qp(a.T @ a, a.T @ b, np.full(k + m, -np.inf), hi, np.zeros(k + m))[0]
+        return float(np.linalg.norm(a @ x - b)) <= tol * (1.0 + float(np.linalg.norm(u)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -933,8 +1001,9 @@ def _minkowski(a: SetValue, b: SetValue) -> SetValue:
         return AffineSetValue(a.point + b.point, dirs)
     if isinstance(b, AffineSetValue):
         a, b = b, a
-    if isinstance(a, AffineSetValue) and isinstance(b, (RayValue, FaceConeValue)):
-        return AffineConeValue(a.point, a.directions, b.generators)
+    if isinstance(a, AffineSetValue) and isinstance(b, (RayValue, FaceConeValue,
+                                                       ConeByInequalities)):
+        return AffineConeValue(a.point, a.directions, b.rows)
     raise UnsupportedOperatorError(
         f"Minkowski sum of {type(a).__name__} and {type(b).__name__} not supported")
 

@@ -11,6 +11,8 @@ from enlargekit.operators import (
     NormSubdiffOp,
     NormalConeOp,
     Polytope,
+    NotMaximalError,
+    SumOp,
     TranslatedOp,
     as_relation,
     graph_member,
@@ -20,6 +22,7 @@ from enlargekit.certificates import (
     PreconditionFailedError,
     interior_domain_check,
     fitz_singleton_check,
+    non_enlargeable,
     non_enlargeable_affine,
     non_enlargeable_linear_relation,
     non_enlargeable_single_valued,
@@ -161,16 +164,46 @@ def test_singleton_check_vertical_relation():
     assert rep.expected_singleton and rep.graph_equality_ok and rep.off_graph_ok
 
 
+def test_singleton_check_one_point_polytope_cone():
+    # N of {v} has the graph {v} x R^n: non-enlargeable, with no off-graph pair
+    op = NormalConeOp(Polytope((np.array([1.0, 2.0]), np.array([1.0, 2.0]))))
+    rep = fitz_singleton_check(op)
+    assert rep.expected_singleton and rep.graph_equality_ok and rep.off_graph_ok
+    assert non_enlargeable(op).verdict
+    assert non_enlargeable_affine(op, (np.array([1.0, 2.0]), np.array([5.0, -3.0]))).verdict
+
+
+def test_non_enlargeable_rule_per_kind():
+    box_cone = NormalConeOp(Box([-1.0, 0.0], [1.0, 2.0]))
+    segment = Polytope((np.array([0.0, 0.0]), np.array([2.0, 2.0])))
+    for op in (box_cone, NormalConeOp(Ball([0.0, 1.0], 0.5)), NormalConeOp(segment),
+               SumOp((LinearMapOp(np.eye(2)), box_cone)),
+               TranslatedOp(NormSubdiffOp(dim=2, p=1.0), np.array([1.0, 0.0]), np.zeros(2)),
+               TranslatedOp(NormSubdiffOp(dim=2, p=2.0), np.zeros(2), np.ones(2))):
+        cert = non_enlargeable(op)
+        assert cert.verdict is False
+        x, xs = cert.witness
+        assert not graph_member(op, x, xs) and enl_member(op, x, xs, 0.5).member
+    # dom {0} x R meets [-1, 1] in one point: the sum's graph is {0} x R
+    point_dom = SumOp((vertical_relation(), NormalConeOp(Box([-1.0], [1.0]))))
+    assert non_enlargeable(point_dom).verdict
+    assert non_enlargeable_affine(point_dom, (np.zeros(1), np.array([4.0]))).verdict
+    translated = TranslatedOp(vertical_relation(), np.array([1.0]), np.array([2.0]))
+    assert non_enlargeable(translated).verdict
+    with pytest.raises(NotMaximalError):
+        non_enlargeable(LinearRelationOp.from_graph_columns(np.array([[1.0], [1.0], [0.0], [0.0]]), dim=2))
+
+
 def test_sum_maximality_linear_cases():
     c1 = sum_maximality(LinearMapOp(np.eye(1)), LinearMapOp(np.eye(1)))
-    assert c1.maximal and c1.exact
+    assert c1.maximal
     c2 = sum_maximality(vertical_relation(), LinearMapOp(np.zeros((1, 1))))
-    assert c2.maximal and c2.exact
+    assert c2.maximal
 
 
 def test_sum_maximality_identity_plus_box_cone():
     c = sum_maximality(LinearMapOp(np.eye(1)), NormalConeOp(Box([-1.0], [1.0])))
-    assert c.maximal and c.exact
+    assert c.maximal
 
 
 def test_sum_exactness_identity_pair():
@@ -238,7 +271,7 @@ def test_fs6_small_scale():
 def test_sum_maximality_of_a_cone_sum_is_exact():
     a, cone = LinearMapOp(np.eye(2)), NormalConeOp(Box([-1.0, -1.0], [1.0, 1.0]))
     c = sum_maximality(a, cone)
-    assert c.maximal is True and c.exact
+    assert c.maximal is True
     assert c.detail == "linear + normal cone: dom A meets ri C"
 
 

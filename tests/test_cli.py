@@ -221,6 +221,21 @@ def test_sumcheck_identity_pair(specs):
     assert res["non_enlargeable"] is False
 
 
+def test_sumcheck_builds_the_sum_relation_once(specs, monkeypatch):
+    from enlargekit import cli
+    from enlargekit import operators as ops
+    calls = []
+    real = ops.sum_relation
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(ops, "sum_relation", counting)
+    assert cli.main(["sumcheck", specs["rot90"], specs["skew2"], "--points", "6"]) == 0
+    assert len(calls) == 1
+
+
 def test_sumcheck_skew_plus_skew_non_enlargeable(specs):
     doc = run_json("sumcheck", specs["rot90"], specs["skew2"], "--points", "30")
     assert doc["results"]["non_enlargeable"] is True
@@ -334,7 +349,8 @@ def test_sumcheck_linear_plus_circle_polytope_cone(tmp_path):
 
 
 def test_sumcheck_reports_an_undetermined_verdict_as_null(tmp_path):
-    # dom A = span e2 meets [0, 1] x [-1, 1] only on its face x1 = 0
+    # dom A = span e2 meets [0, 1] x [-1, 1] only on its face x1 = 0: maximal
+    # by the polyhedral sum rule, while the interior hypothesis fails
     rel = write_spec(tmp_path, "rel.json", {
         "space_dim": 2,
         "operator": {"kind": "linear_relation",
@@ -345,8 +361,41 @@ def test_sumcheck_reports_an_undetermined_verdict_as_null(tmp_path):
                      "set": {"kind": "box", "lo": [0, -1], "hi": [1, 1]}}})
     proc = run_cli("sumcheck", rel, box, "--points", "6")
     res = json.loads(proc.stdout)["results"]
-    assert res["maximal"] is None and b'"maximal": null' in proc.stdout
+    assert res["maximal"] is True and b'null' not in proc.stdout
+    assert res["non_enlargeable"] is False
     assert res["hypothesis_ok"] is False and proc.returncode == 2, proc.stderr.decode()
+
+
+def _sum_spec(tmp_path, name, linear, lo, hi):
+    return write_spec(tmp_path, name, {
+        "space_dim": 2,
+        "operator": {"kind": "sum", "terms": [
+            linear, {"kind": "normal_cone", "set": {"kind": "box", "lo": lo, "hi": hi}}]}})
+
+
+def test_classify_cone_sum_ships_a_closed_form_witness(tmp_path):
+    from enlargekit.operators import Box, NormalConeOp, SumOp
+    a = [[1, -1], [1, 1]]
+    spec = _sum_spec(tmp_path, "sum.json", {"kind": "linear_map", "matrix": a},
+                     [-1, -1], [1, 1])
+    res = run_json("classify", spec)["results"]
+    assert res["maximal"] is True and res["non_enlargeable"] is False
+    x, xs = np.asarray(res["witness"]["x"]), np.asarray(res["witness"]["xs"])
+    v = enl_member(SumOp((LinearMapOp(a), NormalConeOp(Box([-1, -1], [1, 1])))), x, xs, 0.5)
+    assert v.member and v.method == "closed_form"
+
+
+def test_enlarge_point_on_a_box_that_dom_a_touches(tmp_path):
+    # dom A = span e2 meets [0, 1] x [-1, 1] only on its face x1 = 0; the sum
+    # is maximal, so membership has the closed form of the cone-sum QP
+    spec = _sum_spec(tmp_path, "touch.json",
+                     {"kind": "linear_relation", "graph_basis": [[0, 1, 0, 0], [0, 0, 1, 0]]},
+                     [0, -1], [1, 1])
+    res = run_json("enlarge", spec, "--eps", "0.5", "--point", "0,0.5,0,1")["results"]
+    assert res["method"] == "closed_form" and res["approximate"] is False
+    assert res["member"] is True and res["fitz_value"] == pytest.approx(1.0, abs=1e-9)
+    res = run_json("classify", spec)["results"]
+    assert res["maximal"] is True and res["non_enlargeable"] is False
 
 
 def test_sumcheck_reports_skipped_points(specs, tmp_path):

@@ -155,6 +155,22 @@ def test_apply_sum_translates():
     np.testing.assert_allclose(val.point, [3.0, -3.0])
 
 
+def test_relation_plus_polytope_cone_value():
+    # {0} x R plus N of the segment [-1, 1] given by its vertices
+    segment = NormalConeOp(Polytope((np.array([-1.0]), np.array([1.0]))))
+    op = SumOp((zero_times_r(), segment))
+    assert graph_member(op, [0.0], [3.0]) and graph_member(op, [0.0], [-3.0])
+    assert not graph_member(op, [0.5], [3.0])
+    # A(x) = x1 e1 + R e2 on dom A = span e1, plus N of a triangle at its
+    # vertex 0, {u <= 0}: the value at 0 is the half-plane u1 <= 0
+    rel = LinearRelationOp.from_graph_columns(
+        np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]).T, dim=2)
+    tri = NormalConeOp(Polytope((np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]))))
+    rng = np.random.default_rng(0)
+    for u in 3.0 * rng.normal(size=(40, 2)):
+        assert graph_member(SumOp((rel, tri)), [0.0, 0.0], u) is bool(u[0] <= 0.0)
+
+
 def test_support_functions():
     assert support_function(Box([-1.0, -1.0], [1.0, 1.0]), [1.0, -2.0]) == pytest.approx(3.0)
     assert support_function(Ball([0.0, 0.0], 2.5), [3.0, 4.0]) == pytest.approx(12.5)
