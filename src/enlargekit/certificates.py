@@ -34,12 +34,7 @@ import numpy as np
 
 from . import operators as ops
 from .enlargement import enl_member, eps_subdiff_slice
-from .fitzpatrick import (
-    fitz_bruteforce,
-    fitz_evaluator,
-    pairing,
-    partial_inf_conv,
-)
+from .fitzpatrick import fitz_evaluator, pairing, partial_inf_conv
 from .linalg import Subspace, as_vector, contains as span_contains
 from .operators import interior_domain_check, set_extent, split_linear_cone
 
@@ -345,13 +340,15 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
 
     The left side is the closed form of :func:`fitz_evaluator`: the sum
     relation's for linear + linear, the QP over C cap dom A for linear +
-    normal cone.  Where that evaluator does not exist (dom A misses C, a
-    ball only touches dom A, A is not maximal) the left side is the sampled
-    supremum with its polish, and points with a +inf inf-convolution go
-    unchecked.  A point where exactly one side is +inf sets ``max_gap`` to
-    +inf.  Cone-sum points where both sides are +inf count as
-    ``skipped_points``.  A violated hypothesis flags the report as advisory
-    but the check still runs.
+    normal cone.  The right side of a cone sum is that QP's dual, built from
+    the summands (:func:`partial_inf_conv`).  Where the QP does not exist,
+    the right side is +inf at every point (dom A misses C, or a ball touched
+    by dom A at a point the samples miss), and so is the left side; A not
+    maximal, or a sample at the touching point, raises
+    UnsupportedOperatorError.  A point where exactly one side is +inf sets
+    ``max_gap`` to +inf.  Cone-sum points where both sides are +inf count
+    as ``skipped_points``.  A violated hypothesis flags the report as
+    advisory but the check still runs.
 
     ``maximality`` is the exact verdict of :func:`sum_maximality`, and
     ``sum_op`` the sum, for callers that go on to certify it.
@@ -378,13 +375,7 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
     points = _sum_points(sum_op, n_points, seed)
     for idx, (z, zs) in enumerate(points):
         rhs = partial_inf_conv(fa, fb, z, zs)
-        if lhs_ev is not None:
-            lhs = lhs_ev.evaluate(z, zs)
-        elif math.isinf(rhs.value):
-            lhs = math.inf  # a sampled lower bound cannot certify +inf
-        else:
-            lhs = fitz_bruteforce(sum_op, z, zs, count=2000, radius=8.0,
-                                  seed=seed + idx, divergence_check=False).value
+        lhs = math.inf if lhs_ev is None else lhs_ev.evaluate(z, zs)
         if math.isinf(rhs.value) and math.isinf(lhs):
             skipped += not both_linear
             continue

@@ -28,12 +28,18 @@ maximiser over the graph's natural chart (a linear solve for maps and
 relations, the QP maximiser for a linear + normal-cone sum, the kink pair
 for p = 1, a 1-D radius search for p > 1).  It always returns a lower
 bound of the true value.
+
+The partial inf-convolution ``partial_inf_conv`` has three paths.  A linear
+A with N_C reads its minimiser off the multiplier of the cone-sum QP above,
+whose Fenchel dual it is; two linear pieces meet in one linear solve; the
+pairs left, N_C with N_C and the p = 1 norm subdifferential with any of the
+other kinds or itself, run Douglas-Rachford.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -172,20 +178,25 @@ class ConeSumQP:
         return cls(q, m, c, c.subspace_qp(q, 0.5 * (q.T @ m + m.T @ q)))
 
     def maximiser(self, x, xs):
-        """(value, pair): the graph pair (Q s, M s) of A with Q s in C that
-        maximises <x, a*> + <a, x*> - <a, a*>, with the zero normal a pair of
-        A + N_C, and its value; raises SolverFailureError when the QP's
-        duality gap exceeds ``QP_GAP_TOL``."""
-        s, gap = self.solve(self.m.T @ x + self.q.T @ xs)
+        """(value, pair, normal): the graph pair (Q s, M s) of A with Q s in
+        C that maximises <x, a*> + <a, x*> - <a, a*>, with the zero normal a
+        pair of A + N_C, its value, and the QP's multiplier, a normal v of C
+        at Q s with Q'v = b - 2 H s; raises SolverFailureError when the
+        QP's duality gap exceeds ``QP_GAP_TOL``."""
+        s, gap, normal = self.solve(self.m.T @ x + self.q.T @ xs)
         pair = (self.q @ s, self.m @ s)
         value = _objective(x, xs)(*pair)
         if gap > QP_GAP_TOL * (1.0 + abs(value)):
             raise SolverFailureError(f"cone-sum QP duality gap {gap:.3e}")
-        return value, pair
+        return value, pair, normal
+
+    def off_domain(self, x, tol=CARRIER_TOL) -> bool:
+        """Whether x is off D = dom A, where F of A, and of A + N_C, is +inf."""
+        off_d = float(np.linalg.norm(x - self.q @ (self.q.T @ x)))
+        return off_d > tol * (1.0 + float(np.linalg.norm(x)))
 
     def evaluate(self, x, xs, tol=CARRIER_TOL) -> float:
-        off_d = float(np.linalg.norm(x - self.q @ (self.q.T @ x)))
-        if off_d > tol * (1.0 + float(np.linalg.norm(x))) or not self.cset.contains(x, tol):
+        if self.off_domain(x, tol) or not self.cset.contains(x, tol):
             return math.inf
         return self.maximiser(x, xs)[0]
 
@@ -205,6 +216,8 @@ class FitzEvaluator:
     operator: ops.OperatorDescriptor
     kind: str
     data: object
+    # a quadratic evaluator's ConeSumQP per set, or why there is none
+    _cone_qps: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -225,6 +238,21 @@ class FitzEvaluator:
                 return math.inf
             return float(np.linalg.norm(x))
         raise AssertionError(self.kind)
+
+    def cone_qp(self, c) -> ConeSumQP:
+        """The :class:`ConeSumQP` of this evaluator's linear operator plus
+        N_C, built on the first call for the set ``c`` and kept for later
+        ones; raises UnsupportedOperatorError on every call when it does not
+        exist."""
+        if c not in self._cone_qps:
+            try:
+                self._cone_qps[c] = ConeSumQP.build(ops.linear_form(self.operator), c)
+            except ops.UnsupportedOperatorError as exc:
+                self._cone_qps[c] = str(exc)
+        out = self._cone_qps[c]
+        if isinstance(out, str):
+            raise ops.UnsupportedOperatorError(out)
+        return out
 
 
 def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
@@ -507,6 +535,12 @@ DR_STEP = 1.0
 
 @dataclass(frozen=True, eq=False)
 class InfConvResult:
+    """``witness`` is the minimising v (None where the value is +inf).
+    ``inner_residual`` is the residual of the inner minimisation: for a
+    linear + normal-cone pair the duality gap, the value less the cone-sum
+    QP's value; for two quadratic pieces the reduced gradient at v; for
+    Douglas-Rachford its last step."""
+
     value: float
     witness: Optional[np.ndarray]
     inner_residual: float
@@ -665,11 +699,47 @@ def _douglas_rachford(pf, pg, y):
         f"after {DR_MAX_ITER} iterations")
 
 
+def _cone_sum_dual(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResult:
+    """The linear + normal-cone case of :func:`partial_inf_conv`, in either
+    order: v* is the multiplier of the cone-sum QP at (x, y)."""
+    lin_ev, cone_ev = (f1, f2) if f1.kind == "quadratic" else (f2, f1)
+    c = cone_ev.data
+    if not c.contains(x, CARRIER_TOL):
+        return InfConvResult(math.inf, None, 0.0)
+    try:
+        qp = lin_ev.cone_qp(c)
+    except ops.UnsupportedOperatorError:
+        # a maximal A whose domain misses C or touches a ball: F_A(x, .) is
+        # +inf off dom A, since A(0) = dom A-perp
+        lin = ops.linear_form(lin_ev.operator)
+        if ops.validate(lin).maximal and not ops.dom_subspace(lin).contains_vector(x, CARRIER_TOL):
+            return InfConvResult(math.inf, None, 0.0)
+        raise
+    if qp.off_domain(x):
+        return InfConvResult(math.inf, None, 0.0)
+    primal, _, normal = qp.maximiser(x, y)
+    vstar = normal if cone_ev is f2 else y - normal
+    value = f1.evaluate(x, y - vstar, tol=1e-7) + f2.evaluate(x, vstar, tol=1e-7)
+    # weak duality puts value at or above primal; abs() only absorbs rounding
+    return InfConvResult(float(value), vstar, abs(value - primal))
+
+
 def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResult:
     """(F1 box_2 F2)(x, y) = inf over v of F1(x, y - v) + F2(x, v).
 
+    A linear A and a normal cone N_C, in either order: the inf-convolution
+    is the Fenchel dual of the cone-sum QP of A + N_C (:class:`ConeSumQP`,
+    Rockafellar 1970, Sec. 31), so its minimiser v* is the QP's multiplier
+    for Q s in C, a normal of C at the QP maximiser.  The value is
+    F_A(x, y - v*) + F_{N_C}(x, v*) from the two summands' own closed
+    forms, and ``inner_residual`` is that value less the QP value, a
+    duality gap that weak duality keeps >= 0.  It is +inf for x off C, and
+    for x off dom A when A is maximal; a pair with no QP (A not maximal,
+    or dom A != {0} only touching a ball) raises UnsupportedOperatorError.
+
     Two quadratic pieces meet in an exact linear solve on the intersection
-    of their carriers; any mix involving support/indicator pieces runs
+    of their carriers.  The pairs left (N_C with N_C, and the p = 1 norm
+    subdifferential with a linear operator, N_C or itself) run
     Douglas-Rachford with exact proxes (deterministic start at v = y/2).
     A +inf value (incompatible carriers, x outside an indicator) is
     reported with no witness; failure to converge raises
@@ -679,6 +749,8 @@ def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResul
         raise ops.DimensionMismatchError("evaluators live in different spaces")
     x = as_vector(x, f1.dim)
     y = as_vector(y, f1.dim)
+    if {f1.kind, f2.kind} == {"quadratic", "indicator_support"}:
+        return _cone_sum_dual(f1, f2, x, y)
     c1, p1 = _second_slot_piece(f1, x, y, first_slot=True)
     c2, p2 = _second_slot_piece(f2, x, y, first_slot=False)
     if math.isinf(c1) or math.isinf(c2):

@@ -297,9 +297,11 @@ def bounded_qp(h, g, lo, hi, x0, e=None):
     ``QP_CYCLES_PER_VARIABLE`` * (n + 1) cycles, or on a descent ray that
     meets no bound, it raises :class:`SolverFailureError`.
 
-    Returns (x, kkt), kkt the norm of the sign-corrected KKT residual: for
-    any feasible x*, q(x) - q(x*) <= kkt ||x - x*||, so kkt times the
-    feasible set's diameter bounds the duality gap.
+    Returns (x, kkt, mu): kkt the norm of the sign-corrected KKT residual
+    (for any feasible x*, q(x) - q(x*) <= kkt ||x - x*||, so kkt times the
+    feasible set's diameter bounds the duality gap) and mu the multipliers
+    of E x = E x0, so that H x - g + E'mu vanishes on the free variables
+    and is the bound multiplier (>= 0 at lo, <= 0 at hi) on the fixed ones.
     """
     x = np.array(x0, dtype=float)
     e = np.zeros((0, x.size)) if e is None else e
@@ -339,7 +341,7 @@ def bounded_qp(h, g, lo, hi, x0, e=None):
         viol = np.where(free, 0.0, np.maximum(at * nu, 0.0))
         k = int(np.argmax(viol))
         if viol[k] <= tol:
-            return x, float(np.linalg.norm(np.where(free, nu, viol)))
+            return x, float(np.linalg.norm(np.where(free, nu, viol))), mu
         at[k] = 0.0
     raise SolverFailureError(
         f"active-set QP did not terminate in {cap} working-set changes")
@@ -352,9 +354,10 @@ def ball_qp(lam, vecs, g, radius):
     Inside the ball the minimum-norm Newton point is optimal.  Otherwise
     the minimiser is y(mu) = (B + mu I)^-1 g with ||y(mu)|| = radius; Newton
     on 1/radius - 1/||y(mu)||, concave in mu, climbs monotonically to the
-    root from a lower bound of it.  Returns (y, gap), with gap a bound on
-    the duality gap from the KKT residual; past ``BALL_QP_ITERS`` steps it
-    raises :class:`SolverFailureError`.
+    root from a lower bound of it.  Returns (y, gap, mu), with gap a bound
+    on the duality gap from the KKT residual and mu >= 0 the multiplier of
+    the ball, (B + mu I) y = g; past ``BALL_QP_ITERS`` steps it raises
+    :class:`SolverFailureError`.
     """
     lam = np.maximum(lam, 0.0)
     gam = vecs.T @ g
@@ -381,4 +384,4 @@ def ball_qp(lam, vecs, g, radius):
         coef = np.where(nz, gam / (lam + mu), 0.0)
     y = vecs @ coef
     resid = float(np.linalg.norm((lam + mu) * coef - gam))
-    return y, 2.0 * radius * resid + 0.5 * mu * abs(radius * radius - float(coef @ coef))
+    return y, 2.0 * radius * resid + 0.5 * mu * abs(radius * radius - float(coef @ coef)), mu

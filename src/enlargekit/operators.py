@@ -24,6 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .linalg import (
+    EIG_RANK_ATOL,
     DimensionMismatchError,
     SolverFailureError,
     Subspace,
@@ -94,10 +95,12 @@ class UnsupportedOperatorError(TypeError):
 #
 # subspace_qp(q, hess) serves the Fitzpatrick function of a linear + normal
 # cone sum: for Q with orthonormal columns and H PSD it returns solve(b) ->
-# (s, gap), a maximiser of <b, s> - <s, H s> over {s : Q s in C} and a bound
-# on the gap of its value.  It starts from the point of ``meets`` and raises
-# UnsupportedOperatorError when ran Q misses C (for a ball: misses its
-# interior, unless ran Q = {0}).
+# (s, gap, v): a maximiser of <b, s> - <s, H s> over {s : Q s in C}, a bound
+# on the gap of its value, and the multiplier of the constraint Q s in C,
+# a normal v in N_C(Q s) with Q'v = b - 2 H s (the KKT condition), read off
+# the solver's own multipliers.  It starts from the point of ``meets`` and
+# raises UnsupportedOperatorError when ran Q misses C (for a ball: misses
+# its interior, unless ran Q = {0}).
 
 
 def _perp(q):
@@ -179,8 +182,10 @@ class Ball:
         lam, vecs = sym_eig(2.0 * hess)
 
         def solve(b):
-            y, gap = ball_qp(lam, vecs, b - 2.0 * hess @ s0, rho)
-            return s0 + y, gap
+            # (2H + mu I) y = b - 2 H s0, so b - 2 H s = mu y = Q'(mu (Q s - c))
+            y, gap, mu = ball_qp(lam, vecs, b - 2.0 * hess @ s0, rho)
+            s = s0 + y
+            return s, gap, mu * (q @ s - self.center)
         return solve
 
     def cone_values_at(self, x, ss):
@@ -272,8 +277,10 @@ class Box:
         hx, diam = 2.0 * q @ hess @ q.T, float(np.linalg.norm(self.hi - self.lo))
 
         def solve(b):
-            x, kkt = bounded_qp(hx, q @ b, self.lo, self.hi, x0, perp)
-            return q.T @ x, kkt * diam
+            # the normal is minus the KKT vector hx x - Q b + Q_perp mu
+            x, kkt, mu = bounded_qp(hx, q @ b, self.lo, self.hi, x0, perp)
+            s = q.T @ x
+            return s, kkt * diam, q @ (b - 2.0 * hess @ s) - perp.T @ mu
         return solve
 
     def _face_signs(self, x) -> np.ndarray:
@@ -432,8 +439,12 @@ class Polytope:
         lo, hi = np.zeros(m), np.full(m, np.inf)
 
         def solve(b):
-            lam, kkt = bounded_qp(hl, pq @ b, lo, hi, lam0, e)
-            return pq.T @ lam, kkt * math.sqrt(2.0)
+            # with v = Q r - Q_perp mu[1:], r = b - 2 H s, the KKT vector is
+            # mu[0] - P'v >= 0, zero where lam > 0: <p_j, v> peaks on the
+            # vertices that carry Q s
+            lam, kkt, mu = bounded_qp(hl, pq @ b, lo, hi, lam0, e)
+            s = pq.T @ lam
+            return s, kkt * math.sqrt(2.0), q @ (b - 2.0 * hess @ s) - perp.T @ mu[1:]
         return solve
 
 
@@ -787,8 +798,14 @@ def neg_adjoint_graph(g: Subspace) -> Subspace:
 
 
 def dom_subspace(op) -> Subspace:
-    """Domain of a linear map / relation, as a subspace of R^n: ran U."""
+    """Domain of a linear map / relation, as a subspace of R^n: ran U.
+
+    U is I or a block of an orthonormal graph basis, so entries below
+    ``EIG_RANK_ATOL`` throughout are rounding: the domain is {0} (the
+    relative rank cutoff alone would read such dust as directions)."""
     u, _ = _chart(op, "a domain subspace")
+    if float(np.max(np.abs(u), initial=0.0)) <= EIG_RANK_ATOL:
+        return zero_space(op.dim)
     return orthonormalize(u, ambient_dim=op.dim)
 
 

@@ -246,10 +246,12 @@ def test_qp_cycle_cap_raises(monkeypatch):
 def test_ball_qp_on_a_singular_form_meets_the_sphere():
     # B = diag(2, 0): g off ran B pushes the minimiser onto the sphere
     lam, vecs = np.array([2.0, 0.0]), np.eye(2)
-    y, gap = linalg.ball_qp(lam, vecs, np.array([1.0, 1.0]), 1.0)
+    y, gap, mu = linalg.ball_qp(lam, vecs, np.array([1.0, 1.0]), 1.0)
     assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12) and gap <= 1e-12
-    inside, gap = linalg.ball_qp(lam, vecs, np.array([1.0, 0.0]), 1.0)
+    np.testing.assert_allclose((lam + mu) * y, [1.0, 1.0], atol=1e-12)  # (B + mu I) y = g
+    inside, gap, mu = linalg.ball_qp(lam, vecs, np.array([1.0, 0.0]), 1.0)
     np.testing.assert_allclose(inside, [0.5, 0.0], atol=1e-15)
+    assert mu == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,6 @@ def test_cone_sum_exactness_samples_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled where the closed form applies")
 
-    monkeypatch.setattr(certificates, "fitz_bruteforce", refuse)
     monkeypatch.setattr(fz, "fitz_bruteforce", refuse)
     monkeypatch.setattr(ops, "sample_graph", refuse)
     a = LinearMapOp([[1.0, -1.0], [1.0, 1.0]])
@@ -300,6 +301,142 @@ def test_bruteforce_polish_of_a_relation_plus_cone_is_exact():
         res = fitz_bruteforce(op, z, zs, count=200, radius=4.0, divergence_check=False)
         assert res.value == pytest.approx(ev.evaluate(z, zs), rel=1e-10, abs=1e-10)
         assert graph_member(op, *res.best_pair, tol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the right side: the inf-convolution is the cone-sum QP's dual
+# ---------------------------------------------------------------------------
+
+def _relation_with_domain(n, k, rng):
+    """{(Q a, Q M a + Q_perp b)}: maximal, dom = ran Q of dimension k."""
+    qm, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    mk = random_monotone_matrix(k, rng).matrix if k else np.zeros((0, 0))
+    cols = np.block([[qm[:, :k], np.zeros((n, n - k))], [qm[:, :k] @ mk, qm[:, k:]]])
+    return LinearRelationOp.from_graph_columns(cols, dim=n)
+
+
+def _dr_value(fa, fc, z, zs):
+    """The inf-convolution by Douglas-Rachford on the two pieces, or None
+    where it stops at its iteration cap."""
+    _, pf = fz._second_slot_piece(fa, z, zs, first_slot=True)
+    _, pg = fz._second_slot_piece(fc, z, zs, first_slot=False)
+    if pf.feasible_point() is None:
+        return math.inf
+    try:
+        v, _ = fz._douglas_rachford(pf, pg, zs)
+    except SolverFailureError:
+        return None
+    return fa.evaluate(z, zs - v, tol=1e-7) + fc.evaluate(z, v, tol=1e-7)
+
+
+@pytest.mark.parametrize("k", [3, 2, 1, 0])
+def test_the_qp_multiplier_is_the_inf_convolution_minimiser(k, monkeypatch):
+    monkeypatch.setattr(fz, "DR_MAX_ITER", 20000)
+    rng = np.random.default_rng(40 + k)
+    compared = 0
+    for c in _sets(3, rng):
+        lin = _relation_with_domain(3, k, rng) if k < 3 else random_monotone_matrix(3, rng)
+        fa, fc = fitz_evaluator(lin), fitz_evaluator(NormalConeOp(c))
+        qp = fa.cone_qp(c)
+        h = 0.5 * (qp.q.T @ qp.m + qp.m.T @ qp.q)
+        for z in _points_of(c, qp.q, rng, 4):
+            zs = 2.0 * rng.normal(size=3)
+            b = qp.m.T @ z + qp.q.T @ zs
+            s, _, v = qp.solve(b)
+            p = qp.q @ s
+            assert c.support(v) - v @ p <= 1e-9 * (1.0 + np.linalg.norm(v)), c
+            np.testing.assert_allclose(qp.q.T @ v, b - 2.0 * h @ s, atol=1e-9)
+            res = fz.partial_inf_conv(fa, fc, z, zs)
+            assert 0.0 <= res.inner_residual <= 1e-8, (c, res.inner_residual)
+            assert res.value == pytest.approx(fitz_evaluator(SumOp((lin, NormalConeOp(c))))
+                                              .evaluate(z, zs), rel=1e-9, abs=1e-9)
+            flipped = fz.partial_inf_conv(fc, fa, z, zs)
+            assert flipped.value == pytest.approx(res.value, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(flipped.witness, zs - res.witness, atol=1e-12)
+            want = _dr_value(fa, fc, z, zs)
+            if want is not None:
+                assert res.value == pytest.approx(want, rel=1e-6, abs=1e-6), c
+                compared += 1
+    assert compared >= 6
+
+
+def test_linear_plus_cone_never_runs_douglas_rachford(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Douglas-Rachford on a linear + normal-cone pair")
+
+    monkeypatch.setattr(fz, "_douglas_rachford", refuse)
+    a = LinearMapOp([[1.0, -1.0], [1.0, 1.0]])
+    verts = ((1.0, 0.0), (0.0, 1.0), (-1.0, -1.0))
+    for c in (Box([-1.0, -1.0], [1.0, 1.0]), Ball([0.1, 0.0], 1.0), Polytope(verts)):
+        for terms in ((a, NormalConeOp(c)), (NormalConeOp(c), a)):
+            rep = sum_fitz_exactness(*terms, n_points=8, seed=5)
+            assert rep.max_gap <= 1e-9 and rep.skipped_points == 0
+            assert max(w[2] for w in rep.exactness_witnesses) <= 1e-8
+
+
+def test_the_cone_sum_qp_is_built_once_per_set(monkeypatch):
+    built = []
+    real = fz.ConeSumQP.build
+
+    def counting(lin, c):
+        built.append(c)
+        return real(lin, c)
+
+    monkeypatch.setattr(fz.ConeSumQP, "build", staticmethod(counting))
+    a = LinearMapOp([[1.0, -1.0], [1.0, 1.0]])
+    box, ball = Box([-1.0, -1.0], [1.0, 1.0]), Ball([0.1, 0.0], 1.0)
+    fa = fitz_evaluator(a)
+    rng = np.random.default_rng(6)
+    for c in (box, ball, box):
+        fc = fitz_evaluator(NormalConeOp(c))
+        for _ in range(16):
+            fz.partial_inf_conv(fa, fc, c.project(rng.normal(size=2)), rng.normal(size=2))
+    assert built == [box, ball]
+    built.clear()
+    sum_fitz_exactness(a, NormalConeOp(box), n_points=16, seed=3)
+    assert built == [box, box]  # the left side's evaluator, and the right side's
+
+
+def test_a_linear_plus_cone_pair_without_a_qp_raises_at_once(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Douglas-Rachford on a linear + normal-cone pair")
+
+    monkeypatch.setattr(fz, "_douglas_rachford", refuse)
+    # graph {(t e1, 0)}: not maximal; dom A only touches the ball
+    line = LinearRelationOp.from_graph_columns(np.array([[1.0], [0.0], [0.0], [0.0]]), dim=2)
+    ball = NormalConeOp(Ball([0.0, 1.0], 1.0))
+    with pytest.raises(ops.UnsupportedOperatorError):
+        sum_fitz_exactness(line, ball)
+    f_line, f_ball = fitz_evaluator(line), fitz_evaluator(ball)
+    assert math.isinf(fz.partial_inf_conv(f_line, f_ball, [0.0, 3.0], [1.0, 1.0]).value)
+    with pytest.raises(ops.UnsupportedOperatorError):
+        fz.partial_inf_conv(f_line, f_ball, [0.0, 1.0], [1.0, 1.0])
+    # a maximal A whose domain span(e1) only touches the ball: +inf off dom A,
+    # and no QP at the touching point
+    touch = LinearRelationOp.from_graph_columns(
+        np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]).T, dim=2)
+    f_touch = fitz_evaluator(touch)
+    assert math.isinf(fz.partial_inf_conv(f_touch, f_ball, [0.0, 1.0], [1.0, 1.0]).value)
+    with pytest.raises(ops.UnsupportedOperatorError):
+        fz.partial_inf_conv(f_ball, f_touch, [0.0, 0.0], [1.0, 1.0])
+    specs = (_spec(tmp_path, "line.json", {"kind": "linear_relation",
+                                           "graph_basis": [[1, 0, 0, 0]]}),
+             _spec(tmp_path, "ball.json", {"kind": "normal_cone", "set": {
+                 "kind": "ball", "center": [0, 1], "radius": 1}}))
+    assert cli.main(["sumcheck", *specs]) == cli.EXIT_PRECONDITION
+
+
+def test_a_domain_that_misses_c_skips_every_point(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled a sum with no closed form")
+
+    monkeypatch.setattr(fz, "fitz_bruteforce", refuse)
+    monkeypatch.setattr(ops, "sample_graph", refuse)
+    monkeypatch.setattr(fz, "_douglas_rachford", refuse)
+    vertical = LinearRelationOp.from_graph_columns(np.array([[0.0], [1.0]]), dim=1)
+    rep = sum_fitz_exactness(vertical, NormalConeOp(Box([1.0], [2.0])), n_points=12)
+    assert rep.skipped_points == rep.points_tested == 12
+    assert rep.max_gap == 0.0 and rep.maximality is False
 
 
 # ---------------------------------------------------------------------------
