@@ -321,8 +321,7 @@ def cmd_sumcheck(args):
     try:
         report = cert.sum_fitz_exactness(op_a, op_b, n_points=args.points,
                                          seed=args.seed)
-    except (ops.NotMonotoneError, ops.NotMaximalError,
-            ops.UnsupportedOperatorError) as exc:
+    except (ops.NotMonotoneError, ops.NotMaximalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     if report.skipped_points == report.points_tested:
@@ -421,6 +420,9 @@ def main(argv=None):
     except (ops.MalformedDescriptorError, DimensionMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ops.UnsupportedOperatorError as exc:  # no implementation for this operator
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except RuntimeError as exc:
         # solver failures and results contradicting a theorem
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,16 @@
 """Epsilon-enlargements: membership verdicts, explicit slice descriptors
-for monotone linear maps, and closed-form graph tests for norm
-subdifferentials and normal cones.
+for monotone linear maps, and the norm subdifferential's slice at 0.
 
 A pair (x, x*) belongs to the enlargement A_eps exactly when
-F_A(x, x*) <= <x, x*> + eps; the verdict carries the slack of that
-inequality.  Slices A_eps(x) of a monotone linear map are ellipsoids
-described exactly (center + quadratic form + level + carrier subspace),
-never as point clouds, so boundary-tight tests stay exact.
+F_A(x, x*) <= <x, x*> + eps (Burachik-Svaiter 2002), and every membership
+test here reads that one inequality: :func:`enl_member` decides it, with
+the slack in its verdict; the graph tests of a skew relation, the p = 1
+norm subdifferential and a normal cone are :func:`enl_member` on that
+kind; the sampled oracle of a norm subdifferential compares the lower
+bound of F from :func:`fitzpatrick.fitz_bruteforce` with the same right
+side.  Slices A_eps(x) of a monotone linear map are ellipsoids described
+exactly (center + quadratic form + level + carrier subspace), never as
+point clouds, so boundary-tight tests stay exact.
 
 Membership comparisons use a uniform absolute boundary tolerance of
 ``SLACK_TOL``.
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .fitzpatrick import fitz_bruteforce, fitz_closed_form, golden_section, pairing
+from .fitzpatrick import fitz_bruteforce, fitz_closed_form, pairing
 from .linalg import (
     Subspace,
     as_vector,
@@ -192,27 +196,32 @@ def enl_slice_param(a: ops.LinearMapOp, x, eps) -> ParametricSlice:
 
 
 # ---------------------------------------------------------------------------
-# skew relations
+# closed-form graph tests, each enl_member on one kind
 # ---------------------------------------------------------------------------
 
 def skew_relation_enl(r: ops.LinearRelationOp, x, xs, eps) -> bool:
-    """Enlargement of a maximal skew relation:
-    member iff (x, xs) in gra(-A*) and <x, xs> >= -eps."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    """Enlargement of a maximal skew relation: member iff (x, xs) in
+    gra(-A*) and <x, xs> >= -eps, since F is 0 on gra(-A*) and +inf off it."""
     if not ops.is_skew(r):
         raise ops.NotSkewError("relation is not skew")
-    ops.require_maximal(r)
-    x, xs = as_vector(x, r.dim), as_vector(xs, r.dim)
-    neg_adj = ops.neg_adjoint_graph(r.graph)
-    stacked = np.concatenate([x, xs])
-    if not neg_adj.contains_vector(stacked, tol=SLACK_TOL):
-        return False
-    return pairing(x, xs) >= -eps - SLACK_TOL
+    return enl_member(r, x, xs, eps).member
+
+
+def norm_subdiff_enl_member(n: ops.NormSubdiffOp, x, xs, eps) -> bool:
+    """Graph of (d||.||)_eps: ||xs|| <= 1 and ||x|| <= <x, xs> + eps.
+    For the sublinear f = ||.|| this is also the eps-subdifferential."""
+    if n.p != 1.0:
+        raise ops.UnsupportedOperatorError("closed form only for p = 1")
+    return enl_member(n, x, xs, eps).member
+
+
+def normal_cone_enl_member(nc: ops.NormalConeOp, x, xs, eps) -> bool:
+    """Graph of (N_C)_eps: x in C and support_C(xs) <= <x, xs> + eps."""
+    return enl_member(nc, x, xs, eps).member
 
 
 # ---------------------------------------------------------------------------
-# norm subdifferentials and normal cones
+# norm subdifferentials: the slice at 0 and the sampled oracle
 # ---------------------------------------------------------------------------
 
 def eps_subdiff_slice(n: ops.NormSubdiffOp, eps) -> ops.BallValue:
@@ -227,80 +236,18 @@ def eps_subdiff_slice(n: ops.NormSubdiffOp, eps) -> ops.BallValue:
     return ops.BallValue(np.zeros(n.dim), radius)
 
 
-def norm_subdiff_enl_member(n: ops.NormSubdiffOp, x, xs, eps) -> bool:
-    """Graph of (d||.||)_eps: ||xs|| <= 1 and ||x|| <= <x, xs> + eps.
-    For the sublinear f = ||.|| this is also the eps-subdifferential."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if n.p != 1.0:
-        raise ops.UnsupportedOperatorError("closed form only for p = 1")
-    x, xs = as_vector(x, n.dim), as_vector(xs, n.dim)
-    if float(np.linalg.norm(xs)) > 1.0 + SLACK_TOL:
-        return False
-    return float(np.linalg.norm(x)) <= pairing(x, xs) + eps + SLACK_TOL
-
-
-def normal_cone_enl_member(nc: ops.NormalConeOp, x, xs, eps) -> bool:
-    """Graph of (N_C)_eps: x in C and support_C(xs) <= <x, xs> + eps."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    x, xs = as_vector(x, nc.dim), as_vector(xs, nc.dim)
-    if not nc.set.contains(x, SLACK_TOL):
-        return False
-    return nc.set.support(xs) <= pairing(x, xs) + eps + SLACK_TOL
-
-
-# ---------------------------------------------------------------------------
-# sampled falsification oracle
-# ---------------------------------------------------------------------------
-
 def eps_subdiff_oracle(n: ops.NormSubdiffOp, x, xs, eps,
                        count=2000, radius=16.0, seed=0) -> bool:
     """Necessary-condition check of enlargement membership by sampling.
 
-    Searches graph pairs (y, y*) of the subdifferential for a violation of
-    <x - y, xs - y*> >= -eps.  A violation found is conclusive
-    non-membership; returning True means no violation at the finest grid
-    (the minimum over each probed ray is sharpened by golden-section
-    search, so boundary cases resolve to ~1e-9 in the ray parameter).
+    False when a graph pair (y, y*) of the subdifferential violates
+    <x - y, xs - y*> >= -eps, that is when the lower bound of F from
+    :func:`fitz_bruteforce` (graph samples, and the exact chart maximiser
+    of its polish) exceeds <x, xs> + eps: conclusive non-membership.
+    True means that no violation was found.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    x, xs = as_vector(x, n.dim), as_vector(xs, n.dim)
-    margin = SLACK_TOL
-
-    def related(y, ys):
-        return float((x - y) @ (xs - ys))
-
-    pairs = ops.sample_graph(n, count, radius, seed)
-    worst = float(np.min(np.einsum("ij,ij->i", x - pairs[:, 0], xs - pairs[:, 1])))
-    if worst < -eps - margin:
-        return False
-
-    # directed radial probes: rays through the query data and axes
-    dirs = [x, xs, x + xs, x - xs]
-    dirs += [np.eye(n.dim)[i] for i in range(n.dim)]
-    units = []
-    for d in dirs:
-        nd = float(np.linalg.norm(d))
-        if nd > 1e-12:
-            units.extend([d / nd, -d / nd])
-    for d in units:
-        if n.p == 1.0:
-            # the kink at 0 admits every unit vector as a subgradient
-            worst = min(worst, related(np.zeros(n.dim), d))
-
-        def along(t, d=d):
-            t = max(t, 1e-300)
-            return related(t * d, (t ** (n.p - 1.0)) * d)
-
-        grid = np.linspace(1e-9, radius, 200)
-        vals = [along(t) for t in grid]
-        k = int(np.argmin(vals))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, len(grid) - 1)]
-        _, refined = golden_section(along, lo, hi)
-        worst = min(worst, refined, vals[k])
-        if worst < -eps - margin:
-            return False
-    return True
+    res = fitz_bruteforce(n, x, xs, count=count, radius=radius, seed=seed,
+                          divergence_check=False)
+    return res.value <= pairing(x, xs) + eps + SLACK_TOL

@@ -539,11 +539,15 @@ class InfConvResult:
     ``inner_residual`` is the residual of the inner minimisation: for a
     linear + normal-cone pair the duality gap, the value less the cone-sum
     QP's value; for two quadratic pieces the reduced gradient at v; for
-    Douglas-Rachford its last step."""
+    Douglas-Rachford its last step.  ``sum_value`` is, for a linear +
+    normal-cone pair, F of the sum A + N_C at the same point, the value of
+    the QP that gave the minimiser (+inf off C cap dom A); None for the
+    other pairs."""
 
     value: float
     witness: Optional[np.ndarray]
     inner_residual: float
+    sum_value: Optional[float] = None
 
 
 class _QuadPiece:
@@ -703,9 +707,9 @@ def _cone_sum_dual(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResult:
     """The linear + normal-cone case of :func:`partial_inf_conv`, in either
     order: v* is the multiplier of the cone-sum QP at (x, y)."""
     lin_ev, cone_ev = (f1, f2) if f1.kind == "quadratic" else (f2, f1)
-    c = cone_ev.data
+    c, off = cone_ev.data, InfConvResult(math.inf, None, 0.0, math.inf)
     if not c.contains(x, CARRIER_TOL):
-        return InfConvResult(math.inf, None, 0.0)
+        return off
     try:
         qp = lin_ev.cone_qp(c)
     except ops.UnsupportedOperatorError:
@@ -713,15 +717,15 @@ def _cone_sum_dual(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResult:
         # +inf off dom A, since A(0) = dom A-perp
         lin = ops.linear_form(lin_ev.operator)
         if ops.validate(lin).maximal and not ops.dom_subspace(lin).contains_vector(x, CARRIER_TOL):
-            return InfConvResult(math.inf, None, 0.0)
+            return off
         raise
     if qp.off_domain(x):
-        return InfConvResult(math.inf, None, 0.0)
+        return off
     primal, _, normal = qp.maximiser(x, y)
     vstar = normal if cone_ev is f2 else y - normal
     value = f1.evaluate(x, y - vstar, tol=1e-7) + f2.evaluate(x, vstar, tol=1e-7)
     # weak duality puts value at or above primal; abs() only absorbs rounding
-    return InfConvResult(float(value), vstar, abs(value - primal))
+    return InfConvResult(float(value), vstar, abs(value - primal), primal)
 
 
 def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResult:

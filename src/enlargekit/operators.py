@@ -6,10 +6,22 @@ norm subdifferentials, normal cones of bounded convex sets, and binary
 sums.  A sixth plumbing variant translates a graph by a fixed pair, which
 is what the affine-shift certificates operate on.
 
+Each kind answers for itself: ``validate()`` decides monotonicity and
+maximality (the rules are at :func:`validate`); ``apply(x)`` is the exact
+set value op(x) at a checked vector, EmptySet off the domain;
+``values_at(x, ss)`` gives per row of x an element of op(x) and whether
+op(x) is nonempty (empty rows carry an arbitrary value); ``sample(count,
+radius, ss)`` gives the x rows and x* rows of ``count`` prefix-stable graph
+points.  Sums and translations answer through their terms' methods, and
+the public :func:`validate`, :func:`apply` and :func:`sample_graph` check
+their inputs and call them.  A set value answers ``contains(u)`` and
+``shifted(offset)``.
+
 A linear map is the relation with graph {(x, A x)}, charted by U = I and
-V = A.  Monotonicity, symmetry, skewness, the domain and the Fitzpatrick
-carrier read the chart (U, V) of either form; application and sampling
-keep a matrix branch for maps.  Each convex set owns its normal-cone helpers.
+V = A.  Maps and relations share ``validate``; it, symmetry, skewness, the
+domain and the Fitzpatrick carrier read the chart (U, V) of either form,
+while a map's application and sampling keep its matrix.  Each convex set
+owns its normal-cone helpers (the set protocol below).
 
 All descriptors are immutable; every operation is pure given an explicit
 seed, so concurrent use needs no synchronization.
@@ -80,7 +92,8 @@ class UnsupportedOperatorError(TypeError):
 # inset_points(m, ss) gives m seeded points of C; support_points(d) a
 # maximiser of <., d_i> over C per unit row d_i (so every s d_i, s >= 0, is
 # a normal there); cone_values_at(x, ss) per row of x an element of N_C(x)
-# and whether x lies in C (rows off C carry an arbitrary value).
+# and whether x lies in C (rows off C carry an arbitrary value).  These four
+# are what NormalConeOp's apply, sample and values_at read.
 #
 # meets(q, margin) decides, for Q with orthonormal columns (possibly none),
 # whether ran Q meets C shrunk by the margin (a ball's radius less it, a
@@ -460,10 +473,31 @@ def support_function(c: ConvexSetDescriptor, u) -> float:
 # operator descriptors
 # ---------------------------------------------------------------------------
 
+class _Linear:
+    """Maps and relations: every verdict reads the graph chart (U, V)."""
+
+    def validate(self):
+        u, v = self.u_block, self.v_block
+        w, _ = sym_eig(0.5 * (u.T @ v + v.T @ u))
+        lam_min = float(w[-1]) if w.size else 0.0
+        mono, k = lam_min >= -MONOTONE_TOL, u.shape[1]
+        return ValidationReport(mono, mono and k == self.dim,
+                                f"graph form min eigenvalue = {lam_min:.6e}, "
+                                f"dim gra = {k} (n = {self.dim})")
+
+
+class _Subdifferential:
+    """Norm subdifferentials and normal cones: maximally monotone outright."""
+
+    def validate(self):
+        return ValidationReport(True, True, "subdifferential of a proper lsc convex function")
+
+
 @dataclass(frozen=True, eq=False)
-class LinearMapOp:
+class LinearMapOp(_Linear):
     """Single-valued linear operator x -> A x: the relation whose graph
-    {(x, A x)} is charted by t -> (U t, V t), ``u_block`` = I, ``v_block`` = A."""
+    {(x, A x)} is charted by t -> (U t, V t), ``u_block`` = I, ``v_block`` = A.
+    Application and sampling keep the matrix form."""
 
     matrix: np.ndarray
 
@@ -482,9 +516,19 @@ class LinearMapOp:
     def v_block(self) -> np.ndarray:
         return self.matrix
 
+    def apply(self, x):
+        return PointValue(self.matrix @ x)
+
+    def values_at(self, x, ss):
+        return x @ self.matrix.T, np.ones(x.shape[0], dtype=bool)
+
+    def sample(self, count, radius, ss):
+        y = _params(count, self.dim, radius, ss)
+        return y, y @ self.matrix.T
+
 
 @dataclass(frozen=True, eq=False)
-class LinearRelationOp:
+class LinearRelationOp(_Linear):
     """Set-valued operator whose graph is a linear subspace of R^2n.
 
     The graph basis is stored with the first n coordinates for x and the
@@ -518,9 +562,40 @@ class LinearRelationOp:
     def from_graph_columns(cls, columns, dim) -> "LinearRelationOp":
         return cls(orthonormalize(columns, ambient_dim=2 * dim))
 
+    def _values_directions(self):
+        """V ker U: the directions of every nonempty value A x."""
+        null_u = null_space(self.u_block)
+        if not null_u.shape[1]:
+            return zero_space(self.dim)
+        return orthonormalize(self.v_block @ null_u, ambient_dim=self.dim)
+
+    def apply(self, x):
+        u = self.u_block
+        t, *_ = np.linalg.lstsq(u, x, rcond=None)
+        if float(np.linalg.norm(u @ t - x)) > MEMBER_TOL * (1.0 + np.linalg.norm(x)):
+            return EmptySet()
+        dirs, point = self._values_directions(), self.v_block @ t
+        return AffineSetValue(point, dirs) if dirs.dim else PointValue(point)
+
+    def values_at(self, x, ss):
+        u = self.u_block
+        t = np.linalg.lstsq(u, x.T, rcond=None)[0].T
+        ok = np.linalg.norm(t @ u.T - x, axis=1) <= MEMBER_TOL * (1.0 + np.linalg.norm(x, axis=1))
+        w, dirs = t @ self.v_block.T, self._values_directions()
+        if dirs.dim:
+            (g,) = _rngs(ss, 1)
+            w = w + g.standard_normal((x.shape[0], dirs.dim)) @ dirs.basis.T
+        return w, ok
+
+    def sample(self, count, radius, ss):
+        if self.graph.dim == 0:
+            return np.zeros((count, self.dim)), np.zeros((count, self.dim))
+        t = _params(count, self.graph.dim, radius, ss)
+        return t @ self.u_block.T, t @ self.v_block.T
+
 
 @dataclass(frozen=True, eq=False)
-class NormSubdiffOp:
+class NormSubdiffOp(_Subdifferential):
     """Subdifferential of the Euclidean p-power norm.
 
     ``p == 1`` means f = ||.||; ``p > 1`` means f = (1/p) ||.||^p.
@@ -543,9 +618,37 @@ class NormSubdiffOp:
             return np.zeros(self.dim)
         return x * r ** (self.p - 2.0)
 
+    def apply(self, x):
+        if float(np.linalg.norm(x)) > 0.0:
+            return PointValue(self.gradient(x))
+        zero = np.zeros(self.dim)
+        return BallValue(zero, 1.0) if self.p == 1.0 else PointValue(zero)
+
+    def values_at(self, x, ss):
+        m, n = x.shape
+        r = np.linalg.norm(x, axis=1)
+        w = x * (np.where(r > 0.0, r, 1.0) ** (self.p - 2.0))[:, None]
+        if self.p == 1.0:
+            g_dir, g_u = _rngs(ss, 2)
+            kink = _unit_rows(g_dir, m, n) * g_u.random(m)[:, None]
+            w = np.where((r > 0.0)[:, None], w, kink)
+        return w, np.ones(m, dtype=bool)
+
+    def sample(self, count, radius, ss):
+        """Points r d along seeded unit directions, with r cycling through
+        _RADIUS_CYCLE; at r = 0 the p = 1 kink pairs the origin with a scaled
+        unit direction, any element of the unit ball being a subgradient."""
+        g_dir, g_u = _rngs(ss, 2)
+        d = _unit_rows(g_dir, count, self.dim)
+        u = g_u.random(count)
+        slot = np.arange(count) % _RADIUS_CYCLE.size
+        r = np.where(slot == _RADIUS_CYCLE.size - 1, u, _RADIUS_CYCLE[slot]) * radius
+        mag = np.where(r == 0.0, u, 1.0) if self.p == 1.0 else r ** (self.p - 1.0)
+        return r[:, None] * d, mag[:, None] * d
+
 
 @dataclass(frozen=True, eq=False)
-class NormalConeOp:
+class NormalConeOp(_Subdifferential):
     """Normal cone operator of a bounded closed convex set."""
 
     set: ConvexSetDescriptor
@@ -553,6 +656,36 @@ class NormalConeOp:
     @property
     def dim(self):
         return self.set.dim
+
+    def apply(self, x):
+        return self.set.normal_cone_value(x)
+
+    def values_at(self, x, ss):
+        return self.set.cone_values_at(x, ss)
+
+    def sample(self, count, radius, ss):
+        """Rows cycle through: a point of the set with the zero normal; a
+        maximiser of <., d> with the outward normal s d (s from _SCALE_GRID);
+        for boxes, the centre moved onto a face pattern (cycling through
+        {-1, 0, 1}^n) with a sign-constrained normal."""
+        c, n = self.set, self.dim
+        period = 3 if isinstance(c, Box) else 2
+        ss_in, ss_dir = _children(ss, 2)
+        x, xs = np.empty((count, n)), np.zeros((count, n))
+        x[0::period] = c.inset_points(len(x[0::period]), ss_in)
+        d = _unit_rows(np.random.default_rng(ss_dir), len(x[1::period]), n)
+        x[1::period] = c.support_points(d)
+        xs[1::period] = d * _cone_scales(len(d), radius)
+        if period == 3:
+            sig = _face_patterns(len(x[2::3]), n)
+            x[2::3] = np.where(sig > 0, c.hi, np.where(sig < 0, c.lo, 0.5 * (c.lo + c.hi)))
+            xs[2::3] = sig * _cone_scales(len(sig), radius)
+        return x, xs
+
+
+# A sum whose sampled driver points meet the other term's domain this rarely
+# has too thin a graph to sample: draws stop at this multiple of the count.
+_SUM_DRAW_CAP = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,10 +695,13 @@ class SumOp:
     When both terms are linear maps or relations, A + B is again one linear
     relation; ``relation`` holds it (built once, here) and every layer
     treats the sum as that relation.  It is None when a term is not linear.
+    ``linear_cone`` holds the (linear, normal-cone) terms of a linear map or
+    relation plus a normal cone, in that order, and None for other sums.
     """
 
     terms: tuple
     relation: Optional[LinearRelationOp] = field(init=False, repr=False)
+    linear_cone: Optional[tuple] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.terms) != 2:
@@ -573,12 +709,58 @@ class SumOp:
         dims = {t.dim for t in self.terms}
         if len(dims) != 1:
             raise DimensionMismatchError("sum terms live in different spaces")
-        linear = all(isinstance(t, (LinearMapOp, LinearRelationOp)) for t in self.terms)
+        linear = all(isinstance(t, _Linear) for t in self.terms)
         object.__setattr__(self, "relation", sum_relation(*self.terms) if linear else None)
+        lin, cone = self.terms[::-1] if isinstance(self.terms[0], NormalConeOp) else self.terms
+        pair = isinstance(lin, _Linear) and isinstance(cone, NormalConeOp)
+        object.__setattr__(self, "linear_cone", (lin, cone) if pair else None)
 
     @property
     def dim(self):
         return self.terms[0].dim
+
+    def validate(self):
+        if self.relation is not None:
+            return self.relation.validate()
+        terms = [t.validate() for t in self.terms]
+        mono = all(t.monotone for t in terms)
+        if mono and all(t.maximal for t in terms) and self.linear_cone is not None:
+            lin, cone = self.linear_cone
+            return _cone_sum_maximal(lin, cone.set)
+        return ValidationReport(mono, None, "sum: maximality undetermined")
+
+    def apply(self, x):
+        return _minkowski(self.terms[0].apply(x), self.terms[1].apply(x))
+
+    def values_at(self, x, ss):
+        ss0, ss1 = _children(ss, 2)
+        w0, ok0 = self.terms[0].values_at(x, ss0)
+        w1, ok1 = self.terms[1].values_at(x, ss1)
+        return w0 + w1, ok0 & ok1
+
+    def sample(self, count, radius, ss):
+        """Graph points of the more domain-restricted term (a normal cone when
+        there is one) plus an element of the other term's value there.  Points
+        off the other term's domain are dropped, so longer prefixes of the
+        driver's sample are drawn until ``count`` points remain."""
+        if self.relation is not None:
+            return self.relation.sample(count, radius, ss)
+        t0, t1 = self.terms
+        if isinstance(t1, NormalConeOp) and not isinstance(t0, NormalConeOp):
+            t0, t1 = t1, t0
+        ss_drv, ss_val = _children(ss, 2)
+        drawn = count
+        while True:
+            x, u = t0.sample(drawn, radius, ss_drv)
+            w, ok = t1.values_at(x, ss_val)
+            keep = np.flatnonzero(ok)[:count]
+            if keep.size == count:
+                return x[keep], u[keep] + w[keep]
+            if drawn >= _SUM_DRAW_CAP * count:
+                raise RuntimeError(
+                    f"only {keep.size} of {count} sampled points of the sum lie in "
+                    f"both domains after {drawn} draws")
+            drawn *= 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,6 +779,21 @@ class TranslatedOp:
     @property
     def dim(self):
         return self.inner.dim
+
+    def validate(self):
+        inner = self.inner.validate()
+        return ValidationReport(inner.monotone, inner.maximal, f"translation of: {inner.detail}")
+
+    def apply(self, x):
+        return self.inner.apply(x - self.shift_x).shifted(self.shift_xs)
+
+    def values_at(self, x, ss):
+        w, ok = self.inner.values_at(x - self.shift_x, ss)
+        return w + self.shift_xs, ok
+
+    def sample(self, count, radius, ss):
+        x, xs = self.inner.sample(count, radius, ss)
+        return x + self.shift_x, xs + self.shift_xs
 
 
 OperatorDescriptor = Union[
@@ -617,20 +814,16 @@ class ValidationReport:
 
 def symmetric_part(op) -> np.ndarray:
     """(A + A^T)/2 for a linear map (or a relation that is one in disguise)."""
-    if isinstance(op, LinearRelationOp):
-        m = relation_as_map(op)
-        if m is None:
-            raise UnsupportedOperatorError("relation is not a single-valued map")
-        op = m
-    if not isinstance(op, LinearMapOp):
-        raise UnsupportedOperatorError("symmetric_part needs a linear operator")
-    return 0.5 * (op.matrix + op.matrix.T)
+    m = relation_as_map(op) if isinstance(op, LinearRelationOp) else op
+    if not isinstance(m, LinearMapOp):
+        raise UnsupportedOperatorError("symmetric_part needs a single-valued linear map")
+    return 0.5 * (m.matrix + m.matrix.T)
 
 
 def _chart(op, what):
     """(U, V) of the chart t -> (U t, V t) of a linear map's or relation's
     graph; ``what`` names the query in the error for any other operator."""
-    if not isinstance(op, (LinearMapOp, LinearRelationOp)):
+    if not isinstance(op, _Linear):
         raise UnsupportedOperatorError(f"{what} is defined for linear operators")
     return op.u_block, op.v_block
 
@@ -660,34 +853,7 @@ def validate(op: OperatorDescriptor) -> ValidationReport:
     maximal, or no linear term) monotonicity of every term is reported (a
     sufficient condition) and maximality is left undetermined (None).
     """
-    if isinstance(op, (LinearMapOp, LinearRelationOp)):
-        u, v = op.u_block, op.v_block
-        w, _ = sym_eig(0.5 * (u.T @ v + v.T @ u))
-        lam_min = float(w[-1]) if w.size else 0.0
-        mono, k = lam_min >= -MONOTONE_TOL, u.shape[1]
-        return ValidationReport(mono, mono and k == op.dim,
-                                f"graph form min eigenvalue = {lam_min:.6e}, "
-                                f"dim gra = {k} (n = {op.dim})")
-    if isinstance(op, (NormSubdiffOp, NormalConeOp)):
-        return ValidationReport(True, True, "subdifferential of a proper lsc convex function")
-    if isinstance(op, SumOp):
-        if op.relation is not None:
-            return validate(op.relation)
-        terms = [validate(t) for t in op.terms]
-        mono = all(t.monotone for t in terms)
-        if mono and all(t.maximal for t in terms):
-            try:
-                lin, cone = split_linear_cone(*op.terms)
-            except UnsupportedOperatorError:
-                lin = None
-            if lin is not None:
-                return _cone_sum_maximal(lin, cone.set)
-        return ValidationReport(mono, None, "sum: maximality undetermined")
-    if isinstance(op, TranslatedOp):
-        inner = validate(op.inner)
-        return ValidationReport(inner.monotone, inner.maximal,
-                                f"translation of: {inner.detail}")
-    raise MalformedDescriptorError(f"unknown descriptor {type(op)!r}")
+    return op.validate()
 
 
 def linear_form(op):
@@ -695,18 +861,17 @@ def linear_form(op):
     relation of a linear + linear sum; None for any other operator."""
     if isinstance(op, SumOp):
         return op.relation
-    return op if isinstance(op, (LinearMapOp, LinearRelationOp)) else None
+    return op if isinstance(op, _Linear) else None
 
 
 def split_linear_cone(a, b):
     """(linear term, normal-cone term) of a linear map or relation plus a
     normal cone, in either order; any other pair raises
-    UnsupportedOperatorError."""
-    lin, cone = (b, a) if isinstance(a, NormalConeOp) else (a, b)
-    if isinstance(lin, (LinearMapOp, LinearRelationOp)) and isinstance(cone, NormalConeOp):
-        return lin, cone
-    raise UnsupportedOperatorError(
-        "sums are covered for linear+linear and linear+normal-cone")
+    UnsupportedOperatorError (read off :attr:`SumOp.linear_cone`)."""
+    pair = SumOp((a, b)).linear_cone
+    if pair is None:
+        raise UnsupportedOperatorError("sums are covered for linear+linear and linear+normal-cone")
+    return pair
 
 
 def interior_domain_check(a, c: ConvexSetDescriptor) -> bool:
@@ -863,6 +1028,9 @@ class EmptySet:
     def contains(self, u, tol=MEMBER_TOL) -> bool:
         return False
 
+    def shifted(self, offset) -> "SetValue":
+        return self
+
 
 @dataclass(frozen=True, eq=False)
 class PointValue:
@@ -871,6 +1039,9 @@ class PointValue:
     def contains(self, u, tol=MEMBER_TOL) -> bool:
         u = as_vector(u, self.point.shape[0])
         return float(np.linalg.norm(u - self.point)) <= tol * (1.0 + np.linalg.norm(self.point))
+
+    def shifted(self, offset) -> "SetValue":
+        return PointValue(self.point + offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -881,6 +1052,9 @@ class BallValue:
     def contains(self, u, tol=MEMBER_TOL) -> bool:
         u = as_vector(u, self.center.shape[0])
         return float(np.linalg.norm(u - self.center)) <= self.radius + tol
+
+    def shifted(self, offset) -> "SetValue":
+        return BallValue(self.center + offset, self.radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -894,9 +1068,19 @@ class AffineSetValue:
         resid = float(np.linalg.norm(d - self.directions.project(d)))
         return resid <= tol * (1.0 + float(np.linalg.norm(u)))
 
+    def shifted(self, offset) -> "SetValue":
+        return AffineSetValue(self.point + offset, self.directions)
+
+
+class _Cone:
+    """Cone-type values: a shift wraps them in a TranslatedValue."""
+
+    def shifted(self, offset) -> "SetValue":
+        return TranslatedValue(self, offset)
+
 
 @dataclass(frozen=True, eq=False)
-class RayValue:
+class RayValue(_Cone):
     """{s * direction : s >= 0} with a unit direction."""
 
     direction: np.ndarray
@@ -915,7 +1099,7 @@ class RayValue:
 
 
 @dataclass(frozen=True, eq=False)
-class FaceConeValue:
+class FaceConeValue(_Cone):
     """Box normal cone at a face: sign-constrained coordinates.
 
     ``signs[i]`` is +1 where the point sits on the upper face, -1 on the
@@ -939,7 +1123,7 @@ class FaceConeValue:
 
 
 @dataclass(frozen=True, eq=False)
-class ConeByInequalities:
+class ConeByInequalities(_Cone):
     """{u : rows @ u <= 0}; used for polytope normal cones."""
 
     rows: np.ndarray
@@ -950,7 +1134,7 @@ class ConeByInequalities:
 
 
 @dataclass(frozen=True, eq=False)
-class AffineConeValue:
+class AffineConeValue(_Cone):
     """point + span(directions) + {u : rows @ u <= 0}.
 
     u belongs to it iff rows (u - point - D s) <= 0 for some s (D the
@@ -985,32 +1169,21 @@ class TranslatedValue:
         u = as_vector(u, self.offset.shape[0])
         return self.base.contains(u - self.offset, tol)
 
+    def shifted(self, offset) -> "SetValue":
+        return TranslatedValue(self.base, self.offset + offset)
+
 
 SetValue = Union[EmptySet, PointValue, BallValue, AffineSetValue, RayValue,
                  FaceConeValue, AffineConeValue, ConeByInequalities, TranslatedValue]
-
-
-def _translate_value(val: SetValue, shift: np.ndarray) -> SetValue:
-    if isinstance(val, EmptySet):
-        return val
-    if isinstance(val, PointValue):
-        return PointValue(val.point + shift)
-    if isinstance(val, BallValue):
-        return BallValue(val.center + shift, val.radius)
-    if isinstance(val, AffineSetValue):
-        return AffineSetValue(val.point + shift, val.directions)
-    if isinstance(val, TranslatedValue):
-        return TranslatedValue(val.base, val.offset + shift)
-    return TranslatedValue(val, shift)
 
 
 def _minkowski(a: SetValue, b: SetValue) -> SetValue:
     if isinstance(a, EmptySet) or isinstance(b, EmptySet):
         return EmptySet()
     if isinstance(a, PointValue):
-        return _translate_value(b, a.point)
+        return b.shifted(a.point)
     if isinstance(b, PointValue):
-        return _translate_value(a, b.point)
+        return a.shifted(b.point)
     if isinstance(a, AffineSetValue) and isinstance(b, AffineSetValue):
         dirs = orthonormalize(
             np.hstack([a.directions.basis, b.directions.basis]),
@@ -1027,39 +1200,7 @@ def _minkowski(a: SetValue, b: SetValue) -> SetValue:
 
 def apply(op: OperatorDescriptor, x) -> SetValue:
     """Exact set description of op(x); EmptySet when x is outside the domain."""
-    x = as_vector(x, op.dim)
-    if isinstance(op, LinearMapOp):
-        return PointValue(op.matrix @ x)
-    if isinstance(op, LinearRelationOp):
-        u, v = op.u_block, op.v_block
-        t, *_ = np.linalg.lstsq(u, x, rcond=None)
-        if float(np.linalg.norm(u @ t - x)) > MEMBER_TOL * (1.0 + np.linalg.norm(x)):
-            return EmptySet()
-        point = v @ t
-        null_u = null_space(u)
-        dirs = orthonormalize(v @ null_u, ambient_dim=op.dim) if null_u.shape[1] else \
-            zero_space(op.dim)
-        if dirs.dim == 0:
-            return PointValue(point)
-        return AffineSetValue(point, dirs)
-    if isinstance(op, NormSubdiffOp):
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            if op.p == 1.0:
-                return BallValue(np.zeros(op.dim), 1.0)
-            return PointValue(np.zeros(op.dim))
-        return PointValue(op.gradient(x))
-    if isinstance(op, NormalConeOp):
-        return op.set.normal_cone_value(x)
-    if isinstance(op, SumOp):
-        return _minkowski(apply(op.terms[0], x), apply(op.terms[1], x))
-    if isinstance(op, TranslatedOp):
-        inner = apply(op.inner, x - op.shift_x)
-        return _translate_value(inner, op.shift_xs)
-    raise MalformedDescriptorError(f"unknown descriptor {type(op)!r}")
-
-
-
+    return op.apply(as_vector(x, op.dim))
 
 
 def graph_member(op: OperatorDescriptor, x, xs, tol=MEMBER_TOL) -> bool:
@@ -1155,42 +1296,6 @@ def _params(count, dim, radius, ss):
     return p
 
 
-def _sample_subdiff(op: NormSubdiffOp, count, radius, ss):
-    """Points r d along seeded unit directions, with r cycling through
-    _RADIUS_CYCLE; at r = 0 the p = 1 kink pairs the origin with a scaled
-    unit direction, any element of the unit ball being a subgradient."""
-    g_dir, g_u = _rngs(ss, 2)
-    d = _unit_rows(g_dir, count, op.dim)
-    u = g_u.random(count)
-    slot = np.arange(count) % _RADIUS_CYCLE.size
-    r = np.where(slot == _RADIUS_CYCLE.size - 1, u, _RADIUS_CYCLE[slot]) * radius
-    if op.p == 1.0:
-        mag = np.where(r == 0.0, u, 1.0)
-    else:
-        mag = r ** (op.p - 1.0)
-    return r[:, None] * d, mag[:, None] * d
-
-
-def _sample_cone(c: ConvexSetDescriptor, count, radius, ss):
-    """Rows cycle through: a point of the set with the zero normal; a
-    maximiser of <., d> with the outward normal s d (s from _SCALE_GRID);
-    for boxes, the centre moved onto a face pattern (cycling through
-    {-1, 0, 1}^n) with a sign-constrained normal."""
-    n = c.dim
-    period = 3 if isinstance(c, Box) else 2
-    ss_in, ss_dir = _children(ss, 2)
-    x, xs = np.empty((count, n)), np.zeros((count, n))
-    x[0::period] = c.inset_points(len(x[0::period]), ss_in)
-    d = _unit_rows(np.random.default_rng(ss_dir), len(x[1::period]), n)
-    x[1::period] = c.support_points(d)
-    xs[1::period] = d * _cone_scales(len(d), radius)
-    if period == 3:
-        sig = _face_patterns(len(x[2::3]), n)
-        x[2::3] = np.where(sig > 0, c.hi, np.where(sig < 0, c.lo, 0.5 * (c.lo + c.hi)))
-        xs[2::3] = sig * _cone_scales(len(sig), radius)
-    return x, xs
-
-
 def _cone_scales(m, radius):
     """Column of normal magnitudes cycling through the scale grid."""
     return (radius * _SCALE_GRID[np.arange(m) % _SCALE_GRID.size])[:, None]
@@ -1205,104 +1310,6 @@ def _face_patterns(m, n):
     for i in range(n - 1, -1, -1):
         j, sig[:, i] = np.divmod(j, 3)
     return sig - 1.0
-
-
-
-
-def _values_at(op, x, ss):
-    """For each row of ``x``: an element of op(x), and whether op(x) is
-    nonempty (rows where it is empty carry an arbitrary value)."""
-    m, n = x.shape
-    ok = np.ones(m, dtype=bool)
-    if isinstance(op, LinearMapOp):
-        return x @ op.matrix.T, ok
-    if isinstance(op, LinearRelationOp):
-        u, v = op.u_block, op.v_block
-        t = np.linalg.lstsq(u, x.T, rcond=None)[0].T
-        nx = np.linalg.norm(x, axis=1)
-        ok = np.linalg.norm(t @ u.T - x, axis=1) <= MEMBER_TOL * (1.0 + nx)
-        w = t @ v.T
-        null_u = null_space(u)
-        if null_u.shape[1]:
-            dirs = orthonormalize(v @ null_u, ambient_dim=n)
-            (g,) = _rngs(ss, 1)
-            w = w + g.standard_normal((m, dirs.dim)) @ dirs.basis.T
-        return w, ok
-    if isinstance(op, NormSubdiffOp):
-        r = np.linalg.norm(x, axis=1)
-        safe = np.where(r > 0.0, r, 1.0)
-        w = x * (safe ** (op.p - 2.0))[:, None]
-        if op.p == 1.0:
-            g_dir, g_u = _rngs(ss, 2)
-            kink = _unit_rows(g_dir, m, n) * g_u.random(m)[:, None]
-            w = np.where((r > 0.0)[:, None], w, kink)
-        return w, ok
-    if isinstance(op, NormalConeOp):
-        return op.set.cone_values_at(x, ss)
-    if isinstance(op, SumOp):
-        ss0, ss1 = _children(ss, 2)
-        w0, ok0 = _values_at(op.terms[0], x, ss0)
-        w1, ok1 = _values_at(op.terms[1], x, ss1)
-        return w0 + w1, ok0 & ok1
-    if isinstance(op, TranslatedOp):
-        w, ok = _values_at(op.inner, x - op.shift_x, ss)
-        return w + op.shift_xs, ok
-    raise MalformedDescriptorError(f"unknown descriptor {type(op)!r}")
-
-
-
-# A sum whose sampled driver points meet the other term's domain this rarely
-# has too thin a graph to sample: draws stop at this multiple of the count.
-_SUM_DRAW_CAP = 64
-
-
-def _sample_sum(op: SumOp, count, radius, ss):
-    """Graph points of the more domain-restricted term (a normal cone when
-    there is one) plus an element of the other term's value there.  Points
-    off the other term's domain are dropped, so longer prefixes of the
-    driver's sample are drawn until ``count`` points remain."""
-    if op.relation is not None:
-        return _sample(op.relation, count, radius, ss)
-    t0, t1 = op.terms
-    if isinstance(t1, NormalConeOp) and not isinstance(t0, NormalConeOp):
-        driver, other = t1, t0
-    else:
-        driver, other = t0, t1
-    ss_drv, ss_val = _children(ss, 2)
-    drawn = count
-    while True:
-        x, u = _sample(driver, drawn, radius, ss_drv)
-        w, ok = _values_at(other, x, ss_val)
-        keep = np.flatnonzero(ok)[:count]
-        if keep.size == count:
-            return x[keep], u[keep] + w[keep]
-        if drawn >= _SUM_DRAW_CAP * count:
-            raise RuntimeError(
-                f"only {keep.size} of {count} sampled points of the sum lie in "
-                f"both domains after {drawn} draws")
-        drawn *= 2
-
-
-def _sample(op, count, radius, ss):
-    """(x rows, x* rows) of ``count`` graph points; see :func:`sample_graph`."""
-    if isinstance(op, LinearMapOp):
-        y = _params(count, op.dim, radius, ss)
-        return y, y @ op.matrix.T
-    if isinstance(op, LinearRelationOp):
-        if op.graph.dim == 0:
-            return np.zeros((count, op.dim)), np.zeros((count, op.dim))
-        t = _params(count, op.graph.dim, radius, ss)
-        return t @ op.u_block.T, t @ op.v_block.T
-    if isinstance(op, NormSubdiffOp):
-        return _sample_subdiff(op, count, radius, ss)
-    if isinstance(op, NormalConeOp):
-        return _sample_cone(op.set, count, radius, ss)
-    if isinstance(op, SumOp):
-        return _sample_sum(op, count, radius, ss)
-    if isinstance(op, TranslatedOp):
-        x, xs = _sample(op.inner, count, radius, ss)
-        return x + op.shift_x, xs + op.shift_xs
-    raise MalformedDescriptorError(f"unknown descriptor {type(op)!r}")
 
 
 def sample_graph(op: OperatorDescriptor, count, radius, seed) -> np.ndarray:
@@ -1320,5 +1327,5 @@ def sample_graph(op: OperatorDescriptor, count, radius, seed) -> np.ndarray:
         raise ValueError("count must be positive")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    x, xs = _sample(op, int(count), float(radius), np.random.SeedSequence(seed))
+    x, xs = op.sample(int(count), float(radius), np.random.SeedSequence(seed))
     return np.stack([x, xs], axis=1)

@@ -425,3 +425,17 @@ def test_sumcheck_that_checked_nothing_exits_3(specs, monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.err == "error: no sampled point had a finite value (9 of 9 skipped)\n"
     assert out.out == ""
+
+
+def test_fitz_of_a_sum_it_cannot_apply_exits_2(tmp_path):
+    # N_box + N_ball: the Minkowski sum of a face cone and a ray has no
+    # set description, so graph membership of the query pair is unsupported
+    spec = write_spec(tmp_path, "cones.json", {
+        "space_dim": 2,
+        "operator": {"kind": "sum", "terms": [
+            {"kind": "normal_cone", "set": {"kind": "box", "lo": [-1, -1], "hi": [1, 1]}},
+            {"kind": "normal_cone",
+             "set": {"kind": "ball", "center": [0, 0], "radius": 1}}]}})
+    proc = run_cli("fitz", spec, "--point", "1,0,1,0")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr

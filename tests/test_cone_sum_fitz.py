@@ -394,7 +394,60 @@ def test_the_cone_sum_qp_is_built_once_per_set(monkeypatch):
     assert built == [box, ball]
     built.clear()
     sum_fitz_exactness(a, NormalConeOp(box), n_points=16, seed=3)
-    assert built == [box, box]  # the left side's evaluator, and the right side's
+    assert built == [box]  # the left side reads the right side's QP
+
+
+def test_the_cone_sum_check_solves_the_qp_once_per_point(monkeypatch):
+    solves, built = [], []
+    real_max, real_build = fz.ConeSumQP.maximiser, fz.ConeSumQP.build
+
+    def counting_max(self, x, xs):
+        solves.append((x, xs))
+        return real_max(self, x, xs)
+
+    def counting_build(lin, c):
+        built.append(c)
+        return real_build(lin, c)
+
+    monkeypatch.setattr(fz.ConeSumQP, "maximiser", counting_max)
+    monkeypatch.setattr(fz.ConeSumQP, "build", staticmethod(counting_build))
+    a, box = LinearMapOp([[1.0, -1.0], [1.0, 1.0]]), Box([-1.0, -1.0], [1.0, 1.0])
+    rep = sum_fitz_exactness(a, NormalConeOp(box), n_points=16, seed=3)
+    assert (len(solves), len(built)) == (16, 1)
+    assert len(rep.exactness_witnesses) == 16 and rep.max_gap <= 1e-9
+
+
+_VERTICAL = LinearRelationOp.from_graph_columns(np.array([[0.0], [1.0]]), dim=1)
+
+
+@pytest.mark.parametrize("a, b", [
+    (LinearMapOp([[1.0, -1.0], [1.0, 1.0]]), NormalConeOp(Box([-1.0, -1.0], [1.0, 1.0]))),
+    (NormalConeOp(Ball([0.1, 0.0], 1.0)), LinearMapOp([[2.0, -1.0], [1.0, 1.0]])),
+    (_VERTICAL, NormalConeOp(Box([-1.0], [1.0]))),  # skips the points off dom A
+    (_VERTICAL, NormalConeOp(Box([1.0], [2.0]))),  # no QP: skips every point
+], ids=["map-box", "ball-map", "vertical-interval", "dom-misses-c"])
+def test_the_one_solve_check_matches_a_two_solve_reference(a, b):
+    # the reference is the check with the left side from the sum's own
+    # evaluator, a second QP solved at every point
+    rep = sum_fitz_exactness(a, b, n_points=12, seed=4)
+    fa, fb = fitz_evaluator(a), fitz_evaluator(b)
+    try:
+        lhs_of = fitz_evaluator(rep.sum_op).evaluate
+    except ops.UnsupportedOperatorError:
+        lhs_of = lambda z, zs: math.inf
+    gap, witnesses, skipped = 0.0, [], 0
+    for idx, (z, zs) in enumerate(certificates._sum_points(rep.sum_op, 12, 4)):
+        rhs, lhs = fz.partial_inf_conv(fa, fb, z, zs), lhs_of(z, zs)
+        if math.isinf(rhs.value) and math.isinf(lhs):
+            skipped += 1
+            continue
+        assert math.isinf(rhs.value) == math.isinf(lhs)
+        gap = max(gap, abs(lhs - rhs.value))
+        witnesses.append((idx, rhs.witness, rhs.inner_residual))
+    assert (rep.max_gap, rep.skipped_points) == (gap, skipped)
+    assert len(rep.exactness_witnesses) == len(witnesses)
+    for (i, v, r), (j, w, s) in zip(rep.exactness_witnesses, witnesses):
+        assert (i, r) == (j, s) and np.array_equal(v, w)
 
 
 def test_a_linear_plus_cone_pair_without_a_qp_raises_at_once(tmp_path, monkeypatch):
@@ -535,7 +588,8 @@ def test_validate_decides_cone_sums_by_the_interior_hypothesis():
 
 def test_cli_import_leaves_scipy_unloaded():
     code = ("import sys\n"
-            "import enlargekit.cli\n"
+            "import enlargekit.cli, enlargekit.operators, enlargekit.enlargement\n"
+            "import enlargekit.certificates\n"
             "print('scipy' in sys.modules)\n"
             "import enlargekit.fitzpatrick as fz\n"
             "print(callable(fz.scipy.optimize.minimize))\n")

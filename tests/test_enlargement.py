@@ -11,9 +11,12 @@ from enlargekit.operators import (
     NormSubdiffOp,
     NormalConeOp,
     NotSkewError,
+    UnsupportedOperatorError,
     graph_member,
+    neg_adjoint_graph,
     sample_graph,
 )
+from enlargekit.linalg import complement
 from enlargekit.enlargement import (
     enl_member,
     enl_slice_linear,
@@ -250,3 +253,96 @@ def test_oracle_eps_zero_is_subgradient_check():
     op = NormSubdiffOp(dim=2, p=2.0)
     assert eps_subdiff_oracle(op, [1.0, 0.0], [1.0, 0.0], 0.0, count=400, seed=0)
     assert not eps_subdiff_oracle(op, [1.0, 0.0], [1.5, 0.0], 0.0, count=400, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form graph tests against their formulas
+# ---------------------------------------------------------------------------
+#
+# Each helper is enl_member on one kind; the references are the closed forms
+# of the enlargements' graphs, with no tolerance.  Boundary points sit 1e-6
+# either side, far outside the 1e-9 membership tolerance.
+
+def _ref_normal_cone(c, x, xs, eps):
+    return c.contains(x, 0.0) and c.support(xs) <= float(x @ xs) + eps
+
+
+def _ref_norm_p1(x, xs, eps):
+    return np.linalg.norm(xs) <= 1.0 and np.linalg.norm(x) <= float(x @ xs) + eps
+
+
+def _ref_skew(rel, x, xs, eps):
+    neg_adj = neg_adjoint_graph(rel.graph).basis
+    stacked = np.concatenate([x, xs])
+    on_graph = np.linalg.norm(stacked - neg_adj @ (neg_adj.T @ stacked)) <= 1e-12
+    return bool(on_graph) and float(x @ xs) >= -eps
+
+
+@pytest.mark.parametrize("c", [Box([-1.0, -0.5], [1.0, 2.0]), Ball([0.5, -0.25], 1.5)],
+                         ids=["box", "ball"])
+def test_normal_cone_helper_matches_its_formula(c):
+    nc, rng = NormalConeOp(c), np.random.default_rng(21)
+    cases = [(rng.normal(size=2) * 2, rng.normal(size=2) * 2, rng.uniform(0, 2))
+             for _ in range(200)]
+    for _ in range(40):
+        d = rng.normal(size=2)
+        d /= np.linalg.norm(d)
+        edge = c.support_points(d[None, :])[0]  # on the boundary, with outward normal d
+        xs = 2.0 * rng.normal(size=2)
+        cases += [(edge + t * d, xs, 5.0) for t in (-1e-6, 1e-6)]
+        x = c.project(edge - 0.3 * d)  # inside: sigma_C(xs) - <x, xs> > 0
+        gap = c.support(xs) - float(x @ xs)
+        cases += [(x, xs, gap + t) for t in (-1e-6, 1e-6) if gap + t >= 0.0]
+    members = 0
+    for x, xs, eps in cases:
+        want = _ref_normal_cone(c, x, xs, eps)
+        assert normal_cone_enl_member(nc, x, xs, eps) == want, (x, xs, eps)
+        members += want
+    assert 0 < members < len(cases)
+
+
+def test_norm_subdiff_helper_matches_its_formula():
+    op, rng = NormSubdiffOp(dim=3, p=1.0), np.random.default_rng(22)
+    cases = [(rng.normal(size=3) * 2, rng.normal(size=3) * 0.7, rng.uniform(0, 2))
+             for _ in range(200)]
+    for _ in range(40):
+        x, u = rng.normal(size=3), rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        cases += [(x, (1.0 + t) * u, 10.0) for t in (-1e-6, 1e-6)]  # ||xs|| = 1 +- 1e-6
+        xs = 0.5 * u
+        gap = np.linalg.norm(x) - float(x @ xs)  # >= ||x|| / 2 > 0
+        cases += [(x, xs, gap + t) for t in (-1e-6, 1e-6)]
+    members = 0
+    for x, xs, eps in cases:
+        want = _ref_norm_p1(x, xs, eps)
+        assert norm_subdiff_enl_member(op, x, xs, eps) == want, (x, xs, eps)
+        members += want
+    assert 0 < members < len(cases)
+    with pytest.raises(UnsupportedOperatorError):
+        norm_subdiff_enl_member(NormSubdiffOp(dim=3, p=2.0), np.zeros(3), np.zeros(3), 1.0)
+
+
+@pytest.mark.parametrize("rel", [
+    LinearRelationOp.from_graph_columns(np.array([[0.0], [1.0]]), dim=1),
+    LinearRelationOp.from_matrix(ROT90),
+    LinearRelationOp.from_matrix(np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 0.5],
+                                           [2.0, -0.5, 0.0]])),
+], ids=["vertical", "rot90", "skew3"])
+def test_skew_relation_helper_matches_its_formula(rel):
+    # the pairing vanishes on gra(-A*) of a maximal skew relation, so the
+    # subspace is the only boundary there is
+    n, rng = rel.dim, np.random.default_rng(23)
+    neg_adj = neg_adjoint_graph(rel.graph).basis
+    off = complement(neg_adjoint_graph(rel.graph)).basis
+    cases = [(rng.normal(size=n), rng.normal(size=n), rng.uniform(0, 2)) for _ in range(100)]
+    for _ in range(40):
+        on = neg_adj @ rng.normal(size=neg_adj.shape[1])
+        for t in (0.0, -1e-6, 1e-6):
+            p = on + t * (off @ rng.normal(size=off.shape[1]) if t else 0.0)
+            cases.append((p[:n], p[n:], rng.uniform(0, 1)))
+    members = 0
+    for x, xs, eps in cases:
+        want = _ref_skew(rel, x, xs, eps)
+        assert skew_relation_enl(rel, x, xs, eps) == want, (x, xs, eps)
+        members += want
+    assert 0 < members < len(cases)
