@@ -31,9 +31,12 @@ bound of the true value.
 
 The partial inf-convolution ``partial_inf_conv`` has three paths.  A linear
 A with N_C reads its minimiser off the multiplier of the cone-sum QP above,
-whose Fenchel dual it is; two linear pieces meet in one linear solve; the
-pairs left, N_C with N_C and the p = 1 norm subdifferential with any of the
-other kinds or itself, run Douglas-Rachford.
+whose Fenchel dual it is; two linear pieces meet in a linear solve whose
+point-independent factors (:class:`CarrierPair`) the first slot's evaluator
+keeps per second-slot evaluator, as A's keeps its QP per set, so that each
+point costs matrix-vector products; the pairs left, N_C with N_C and the
+p = 1 norm subdifferential with any of the other kinds or itself, run
+Douglas-Rachford.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .operators import SolverFailureError
 from .linalg import (
     as_vector,
     check_symmetric,
+    eig_pinv,
     pseudoinverse,
     range_contains,
     rank_cutoff,
@@ -112,7 +116,8 @@ def qconj(q: QuadForm, y, tol=CARRIER_TOL) -> float:
 class CarrierQuadratic:
     """F(x, u) = (1/4) c' P c on the affine carrier {c in ran W},
     with c = V'x + U'u.  P is the pseudoinverse of W and ``null`` spans
-    ker W (the carrier test is ||null' c|| ~ 0)."""
+    ker W (the carrier test is ||null' c|| ~ 0), both from one
+    eigendecomposition of W."""
 
     u: np.ndarray       # (n, k)
     v: np.ndarray       # (n, k)
@@ -124,10 +129,11 @@ class CarrierQuadratic:
     def build(cls, u, v) -> "CarrierQuadratic":
         w = 0.5 * (u.T @ v + v.T @ u)
         w = 0.5 * (w + w.T)
-        p = pseudoinverse(w)   # raises NotPSD for non-monotone graphs
         lam, q = sym_eig(w)
-        null = q[:, np.abs(lam) <= rank_cutoff(lam)]
-        return cls(u=u, v=v, w=w, p=p, null=null)
+        # the graph has passed the monotonicity test, so an eigenvalue at or
+        # below the cutoff, a rounding-negative one included, is kernel
+        cut = rank_cutoff(lam)
+        return cls(u=u, v=v, w=w, p=eig_pinv(lam, q, cut), null=q[:, lam <= cut])
 
     def c_of(self, x, u) -> np.ndarray:
         return self.v.T @ x + self.u.T @ u
@@ -216,8 +222,10 @@ class FitzEvaluator:
     operator: ops.OperatorDescriptor
     kind: str
     data: object
-    # a quadratic evaluator's ConeSumQP per set, or why there is none
+    # a quadratic evaluator's ConeSumQP per set, or why there is none, and
+    # its CarrierPair per quadratic evaluator in the second slot
     _cone_qps: dict = field(default_factory=dict, init=False, repr=False)
+    _pairs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -253,6 +261,14 @@ class FitzEvaluator:
         if isinstance(out, str):
             raise ops.UnsupportedOperatorError(out)
         return out
+
+    def carrier_pair(self, other) -> "CarrierPair":
+        """The :class:`CarrierPair` of this quadratic evaluator in the first
+        slot and the quadratic ``other`` in the second, built on the first
+        call for ``other`` and kept for later ones."""
+        if other not in self._pairs:
+            self._pairs[other] = CarrierPair.build(self.data, other.data)
+        return self._pairs[other]
 
 
 def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
@@ -568,9 +584,6 @@ class _QuadPiece:
         self.lin = 0.5 * self.sign * (cq.u @ cq.p @ a)
         self._prox_step = None
 
-    def c_of(self, v):
-        return self.a + self.sign * (self.cq.u.T @ v)
-
     def feasible_point(self):
         """Some v on the carrier, or None when the carrier is empty."""
         if self.e.shape[0] == 0:
@@ -580,10 +593,6 @@ class _QuadPiece:
                 CARRIER_TOL * (1.0 + float(np.linalg.norm(self.d))):
             return None
         return v
-
-    def grad(self, v):
-        c = self.c_of(v)
-        return 0.5 * self.sign * (self.cq.u @ self.cq.p @ c)
 
     def prox(self, w, t):
         """argmin phi(v) + ||v - w||^2 / (2 t) subject to the carrier.
@@ -657,33 +666,69 @@ def _second_slot_piece(ev: FitzEvaluator, x, y, first_slot):
     raise AssertionError(ev.kind)
 
 
-def _exact_quad_quad(p1: _QuadPiece, p2: _QuadPiece, n):
-    e = np.vstack([p1.e, p2.e])
-    d = np.concatenate([p1.d, p2.d])
-    if e.shape[0]:
+@dataclass(frozen=True, eq=False)
+class CarrierPair:
+    """The inner problem of (F1 box_2 F2)(x, y) for two carrier quadratics,
+    factored once.  phi(v) = F1(x, y - v) + F2(x, v) is
+    (1/4) c1' P1 c1 + (1/4) c2' P2 c2 with c1 = V1'x + U1'(y - v) and
+    c2 = V2'x + U2'v, finite on the v that keep c1 and c2 on their carriers,
+    E v = d with E = [-N1'U1'; N2'U2'] (N spans ker W).  The SVD of E, the
+    basis Z of ker E, the products U P and the pseudoinverse of the reduced
+    Hessian Z'(H1 + H2)Z, H = U P U'/2, do not depend on (x, y), so
+    :meth:`solve` is matrix-vector products."""
+
+    cq1: CarrierQuadratic
+    cq2: CarrierQuadratic
+    left: np.ndarray             # left singular vectors of E
+    sing: np.ndarray             # its singular values above CARRIER_TOL
+    rows: np.ndarray             # right singular vectors of those, as columns
+    z: np.ndarray                # (n, r) orthonormal basis of ker E
+    up1: np.ndarray              # U1 P1
+    up2: np.ndarray              # U2 P2
+    hr_pinv: np.ndarray          # pseudoinverse of Z'(H1 + H2)Z
+
+    @classmethod
+    def build(cls, cq1, cq2) -> "CarrierPair":
+        e = np.vstack([-(cq1.null.T @ cq1.u.T), cq2.null.T @ cq2.u.T])
         # each block of e is a product of orthonormal bases (norm <= 1); a
         # direction that moves the carrier residual by at most CARRIER_TOL
         # per unit of v is rounding noise (a carrier block that vanishes in
-        # exact arithmetic): drop it, and d must vanish on it
-        left, s, vt = np.linalg.svd(e)
-        rank = int(np.sum(s > CARRIER_TOL))
-        dl = left.T @ d
-        if float(np.linalg.norm(dl[rank:])) > CARRIER_TOL * (1.0 + np.linalg.norm(d)):
-            return None  # incompatible carriers: the inf-convolution is +inf
-        v0 = vt[:rank].T @ (dl[:rank] / s[:rank])
+        # exact arithmetic): drop it, and d must vanish on it.  With no
+        # rows, vt is the identity and Z = I.
+        left, sv, vt = np.linalg.svd(e)
+        rank = int(np.sum(sv > CARRIER_TOL))
         z = vt[rank:].T
-    else:
-        v0 = np.zeros(n)
-        z = np.eye(n)
-    hess = p1.hess + p2.hess
-    if z.shape[1] == 0:
-        return v0, 0.0
-    hr = z.T @ hess @ z
-    gr = z.T @ (p1.grad(v0) + p2.grad(v0))
-    wstar = -pseudoinverse(0.5 * (hr + hr.T)) @ gr
-    vstar = v0 + z @ wstar
-    resid = float(np.linalg.norm(z.T @ (p1.grad(vstar) + p2.grad(vstar))))
-    return vstar, resid
+        hess = 0.5 * cq1.u @ cq1.p @ cq1.u.T + 0.5 * cq2.u @ cq2.p @ cq2.u.T
+        hr = z.T @ hess @ z
+        # Z'(H1 + H2)Z is PSD by construction: read a rounding-negative
+        # eigenvalue as kernel, as the carriers do
+        lam, q = sym_eig(0.5 * (hr + hr.T))
+        return cls(cq1, cq2, left, sv[:rank], vt[:rank].T, z, cq1.u @ cq1.p, cq2.u @ cq2.p,
+                   eig_pinv(lam, q, rank_cutoff(lam)))
+
+    def _grad(self, a1, a2, v):
+        """Gradient of phi at v: -U1 P1 c1 / 2 + U2 P2 c2 / 2."""
+        return (-0.5 * (self.up1 @ (a1 - self.cq1.u.T @ v))
+                + 0.5 * (self.up2 @ (a2 + self.cq2.u.T @ v)))
+
+    def solve(self, x, y):
+        """(v*, residual) for the point (x, y), the residual the norm of the
+        reduced gradient at v*; None when the carriers are incompatible, so
+        that the inf-convolution is +inf."""
+        cq1, cq2 = self.cq1, self.cq2
+        a1 = cq1.v.T @ x + cq1.u.T @ y
+        a2 = cq2.v.T @ x
+        d = np.concatenate([-(cq1.null.T @ a1), -(cq2.null.T @ a2)])
+        rank = self.sing.shape[0]
+        dl = self.left.T @ d
+        if float(np.linalg.norm(dl[rank:])) > CARRIER_TOL * (1.0 + np.linalg.norm(d)):
+            return None
+        v0 = self.rows @ (dl[:rank] / self.sing)
+        if self.z.shape[1] == 0:
+            return v0, 0.0
+        gr = self.z.T @ self._grad(a1, a2, v0)
+        vstar = v0 + self.z @ (-self.hr_pinv @ gr)
+        return vstar, float(np.linalg.norm(self.z.T @ self._grad(a1, a2, vstar)))
 
 
 def _douglas_rachford(pf, pg, y):
@@ -742,7 +787,9 @@ def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResul
     or dom A != {0} only touching a ball) raises UnsupportedOperatorError.
 
     Two quadratic pieces meet in an exact linear solve on the intersection
-    of their carriers.  The pairs left (N_C with N_C, and the p = 1 norm
+    of their carriers, :class:`CarrierPair`, factored on the first call for
+    the pair (f1, f2) and kept on f1, so that a point costs matrix-vector
+    products.  The pairs left (N_C with N_C, and the p = 1 norm
     subdifferential with a linear operator, N_C or itself) run
     Douglas-Rachford with exact proxes (deterministic start at v = y/2).
     A +inf value (incompatible carriers, x outside an indicator) is
@@ -755,16 +802,16 @@ def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResul
     y = as_vector(y, f1.dim)
     if {f1.kind, f2.kind} == {"quadratic", "indicator_support"}:
         return _cone_sum_dual(f1, f2, x, y)
-    c1, p1 = _second_slot_piece(f1, x, y, first_slot=True)
-    c2, p2 = _second_slot_piece(f2, x, y, first_slot=False)
-    if math.isinf(c1) or math.isinf(c2):
-        return InfConvResult(math.inf, None, 0.0)
-    if isinstance(p1, _QuadPiece) and isinstance(p2, _QuadPiece):
-        out = _exact_quad_quad(p1, p2, f1.dim)
+    if f1.kind == f2.kind == "quadratic":
+        out = f1.carrier_pair(f2).solve(x, y)
         if out is None:
             return InfConvResult(math.inf, None, 0.0)
         vstar, resid = out
     else:
+        c1, p1 = _second_slot_piece(f1, x, y, first_slot=True)
+        c2, p2 = _second_slot_piece(f2, x, y, first_slot=False)
+        if math.isinf(c1) or math.isinf(c2):
+            return InfConvResult(math.inf, None, 0.0)
         # run DR with the quadratic piece (exact KKT prox) as f when present
         if isinstance(p2, _QuadPiece):
             pf, pg = p2, p1

@@ -129,6 +129,13 @@ def pseudoinverse(m, rank_tol=None) -> np.ndarray:
     cut = rank_cutoff(w, rank_tol)
     if w.size and float(np.min(w)) < -cut:
         raise NotPSDError(f"eigenvalue {np.min(w):.3e} below -{cut:.3e}")
+    return eig_pinv(w, q, cut)
+
+
+def eig_pinv(w, q, cut) -> np.ndarray:
+    """Pseudoinverse of q diag(w) q' from its eigendecomposition, with
+    every eigenvalue at or below ``cut`` (rounding-negative ones of a PSD
+    matrix included) read as zero; it does not check the signs."""
     inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
     return (q * inv) @ q.T
 

@@ -997,26 +997,17 @@ def as_relation(op) -> LinearRelationOp:
 def sum_relation(a, b) -> LinearRelationOp:
     """Graph of A + B for linear maps/relations.
 
-    Built in (x, a*, b*) coordinates: intersect the two cylinder
-    subspaces, then push forward through (x, a*, b*) -> (x, a* + b*).
+    With the charts s -> (U_a s, V_a s) of gra A and t -> (U_b t, V_b t)
+    of gra B, gra(A + B) is charted by (U_a s, V_a s + V_b t) over the
+    pairs (s, t) with U_a s = U_b t: one null space of [U_a, -U_b].
     """
-    ra, rb = as_relation(a), as_relation(b)
-    if ra.dim != rb.dim:
+    (ua, va), (ub, vb) = _chart(a, "a sum relation"), _chart(b, "a sum relation")
+    if ua.shape[0] != ub.shape[0]:
         raise DimensionMismatchError("sum terms live in different spaces")
-    n = ra.dim
-    ka, kb = ra.graph.dim, rb.graph.dim
-    s1 = np.zeros((3 * n, ka + n))
-    s1[: 2 * n, :ka] = ra.graph.basis
-    s1[2 * n:, ka:] = np.eye(n)
-    s2 = np.zeros((3 * n, kb + n))
-    s2[:n, :kb] = rb.graph.basis[:n]
-    s2[2 * n:, :kb] = rb.graph.basis[n:]
-    s2[n: 2 * n, kb:] = np.eye(n)
-    common = intersect(orthonormalize(s1, ambient_dim=3 * n),
-                        orthonormalize(s2, ambient_dim=3 * n))
-    t = common.basis
-    cols = np.vstack([t[:n], t[n: 2 * n] + t[2 * n:]])
-    return LinearRelationOp(orthonormalize(cols, ambient_dim=2 * n))
+    pairs = null_space(np.hstack([ua, -ub]))
+    s, t = pairs[: ua.shape[1]], pairs[ua.shape[1]:]
+    return LinearRelationOp(orthonormalize(np.vstack([ua @ s, va @ s + vb @ t]),
+                                           ambient_dim=2 * ua.shape[0]))
 
 
 # ---------------------------------------------------------------------------
