@@ -338,11 +338,11 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
     summands at sampled points, recording the worst gap and the exactness
     witnesses of every finite inf-convolution value.
 
-    The left side is the closed form of F of the sum: the sum relation's
-    (:func:`fitz_evaluator`) for linear + linear, the QP over C cap dom A
-    for linear + normal cone.  The right side of a cone sum is that QP's
-    dual, built from the summands (:func:`partial_inf_conv`) on the QP that
-    A's evaluator keeps, and the left side is read off the same solve
+    The left side is the closed form of F of the sum
+    (:func:`fitz_evaluator`): the sum relation's for linear + linear, the QP
+    over C cap dom A for linear + normal cone.  The right side of a cone sum
+    is that QP's dual, built from the summands (:func:`partial_inf_conv`) on
+    the QP that A keeps, and the left side is read off the same solve
     (``sum_value``): one QP solve per point.  Where the QP does not exist,
     the right side is +inf at every point (dom A misses C, or a ball touched
     by dom A at a point the samples miss), and so is the left side; A not
@@ -362,21 +362,19 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
         hypothesis_ok = True  # dom A - dom B is a subspace, closed in R^n
         mode = "linear+linear"
         notes = "domain-difference closedness holds automatically"
-        lhs_of = fitz_evaluator(sum_op).evaluate
     else:
         lin, cone = split_linear_cone(a, b)
         hypothesis_ok = interior_domain_check(lin, cone.set)
         mode = "linear+normal-cone"
         notes = f"interior-domain check: {hypothesis_ok}"
-        lin_ev = fa if fa.kind == "quadratic" else fb
-
-        def lhs_of(z, zs):  # for a right side without sum_value, e.g. a stand-in solver
-            return lin_ev.cone_qp(cone.set).evaluate(z, zs)
-    max_gap, witnesses, skipped = 0.0, [], 0
+    max_gap, witnesses, skipped, lhs_ev = 0.0, [], 0, None
     points = _sum_points(sum_op, n_points, seed)
     for idx, (z, zs) in enumerate(points):
         rhs = partial_inf_conv(fa, fb, z, zs)
-        lhs = lhs_of(z, zs) if rhs.sum_value is None else rhs.sum_value
+        lhs = rhs.sum_value
+        if lhs is None:  # linear + linear, or a right side with no QP value
+            lhs_ev = lhs_ev or fitz_evaluator(sum_op)
+            lhs = lhs_ev.evaluate(z, zs)
         if math.isinf(rhs.value) and math.isinf(lhs):
             skipped += not both_linear
             continue

@@ -23,20 +23,20 @@ The function value lives in ]-inf, +inf]; plain floats carry it, with
 ``math.inf`` for the infinite value.
 
 The sampled oracle ``fitz_bruteforce`` maximizes the defining supremum
-over deterministic graph samples, optionally polished by the exact
-maximiser over the graph's natural chart (a linear solve for maps and
+over deterministic graph samples, optionally polished by the evaluator's
+maximiser (:meth:`FitzEvaluator.maximiser`: a linear solve for maps and
 relations, the QP maximiser for a linear + normal-cone sum, the kink pair
-for p = 1, a 1-D radius search for p > 1).  It always returns a lower
-bound of the true value.
+for p = 1), or for p > 1, which has no evaluator, a 1-D radius search.  It
+always returns a lower bound of the true value.
 
 The partial inf-convolution ``partial_inf_conv`` has three paths.  A linear
 A with N_C reads its minimiser off the multiplier of the cone-sum QP above,
 whose Fenchel dual it is; two linear pieces meet in a linear solve whose
 point-independent factors (:class:`CarrierPair`) the first slot's evaluator
-keeps per second-slot evaluator, as A's keeps its QP per set, so that each
-point costs matrix-vector products; the pairs left, N_C with N_C and the
-p = 1 norm subdifferential with any of the other kinds or itself, run
-Douglas-Rachford.
+keeps per second-slot evaluator, as A's carrier keeps its QP per set, so
+that each point costs matrix-vector products; the pairs left, N_C with N_C
+and the p = 1 norm subdifferential with any of the other kinds or itself,
+run Douglas-Rachford.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from . import operators as ops
-from .operators import SolverFailureError
+from .operators import CARRIER_TOL, CarrierQuadratic, SolverFailureError
 from .linalg import (
     as_vector,
     check_symmetric,
@@ -59,7 +59,6 @@ from .linalg import (
     sym_eig,
 )
 
-CARRIER_TOL = 1e-9
 # Largest duality gap of a cone-sum QP, relative to 1 + |F|, before the
 # value is refused.
 QP_GAP_TOL = 1e-9
@@ -109,54 +108,8 @@ def qconj(q: QuadForm, y, tol=CARRIER_TOL) -> float:
 
 
 # ---------------------------------------------------------------------------
-# carrier quadratics: the closed form for linear maps and relations
+# the closed form of linear + normal-cone sums
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class CarrierQuadratic:
-    """F(x, u) = (1/4) c' P c on the affine carrier {c in ran W},
-    with c = V'x + U'u.  P is the pseudoinverse of W and ``null`` spans
-    ker W (the carrier test is ||null' c|| ~ 0), both from one
-    eigendecomposition of W."""
-
-    u: np.ndarray       # (n, k)
-    v: np.ndarray       # (n, k)
-    w: np.ndarray       # (k, k) symmetric PSD
-    p: np.ndarray       # pinv(w)
-    null: np.ndarray    # (k, m) orthonormal basis of ker w
-
-    @classmethod
-    def build(cls, u, v) -> "CarrierQuadratic":
-        w = 0.5 * (u.T @ v + v.T @ u)
-        w = 0.5 * (w + w.T)
-        lam, q = sym_eig(w)
-        # the graph has passed the monotonicity test, so an eigenvalue at or
-        # below the cutoff, a rounding-negative one included, is kernel
-        cut = rank_cutoff(lam)
-        return cls(u=u, v=v, w=w, p=eig_pinv(lam, q, cut), null=q[:, lam <= cut])
-
-    def c_of(self, x, u) -> np.ndarray:
-        return self.v.T @ x + self.u.T @ u
-
-    def on_carrier(self, c, tol=CARRIER_TOL) -> bool:
-        if self.null.shape[1] == 0:
-            return True
-        resid = float(np.linalg.norm(self.null.T @ c))
-        return resid <= tol * (1.0 + float(np.linalg.norm(c)))
-
-    def evaluate(self, x, u, tol=CARRIER_TOL) -> float:
-        c = self.c_of(x, u)
-        if not self.on_carrier(c, tol):
-            return math.inf
-        return 0.25 * float(c @ self.p @ c)
-
-
-def _carrier(op) -> CarrierQuadratic:
-    """Carrier quadratic of a monotone linear map or relation, built on the
-    chart (``u_block``, ``v_block``) of its graph."""
-    ops.require_monotone(op)
-    return CarrierQuadratic.build(op.u_block, op.v_block)
-
 
 @dataclass(frozen=True, eq=False)
 class ConeSumQP:
@@ -213,18 +166,18 @@ class ConeSumQP:
 
 @dataclass(frozen=True, eq=False)
 class FitzEvaluator:
-    """Closed-form Fitzpatrick function of one zoo operator.
+    """Closed-form Fitzpatrick function of one zoo operator: a per-call view
+    over what the descriptors keep.
 
-    ``kind`` is one of ``quadratic`` (linear maps/relations and linear
-    sums), ``cone_sum`` (linear + normal cone), ``indicator_support``
-    (normal cones) and ``norm_graph`` (the p = 1 norm subdifferential)."""
+    ``kind`` (and ``data``) is ``quadratic`` (linear maps, relations and
+    linear sums; the kept carrier), ``cone_sum`` (linear + normal cone; the
+    linear term's kept QP), ``indicator_support`` (normal cones; the set)
+    or ``norm_graph`` (the p = 1 norm subdifferential)."""
 
     operator: ops.OperatorDescriptor
     kind: str
     data: object
-    # a quadratic evaluator's ConeSumQP per set, or why there is none, and
-    # its CarrierPair per quadratic evaluator in the second slot
-    _cone_qps: dict = field(default_factory=dict, init=False, repr=False)
+    # a quadratic evaluator's CarrierPair per quadratic second-slot one
     _pairs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -247,17 +200,34 @@ class FitzEvaluator:
             return float(np.linalg.norm(x))
         raise AssertionError(self.kind)
 
+    def maximiser(self, x, xs):
+        """The graph pair (a, a*) maximising <x, a*> + <a, x*> - <a, a*>, of
+        value F(x, x*) where F is finite; None for a normal cone.  A linear
+        form's is (U t, V t), t = P c / 2 (c'Pc/4 bounds F below off the
+        carrier), a cone sum's its QP's, and p = 1's the kink (0, x/||x||)."""
+        x, xs = as_vector(x, self.dim), as_vector(xs, self.dim)
+        if self.kind == "quadratic":
+            t = 0.5 * (self.data.p @ self.data.c_of(x, xs))
+            return self.data.u @ t, self.data.v @ t
+        if self.kind == "cone_sum":
+            return self.data.maximiser(x, xs)[1]
+        if self.kind == "norm_graph":
+            nx = float(np.linalg.norm(x))
+            return np.zeros_like(x), x / nx if nx > 0 else np.zeros_like(x)
+        return None
+
     def cone_qp(self, c) -> ConeSumQP:
         """The :class:`ConeSumQP` of this evaluator's linear operator plus
-        N_C, built on the first call for the set ``c`` and kept for later
-        ones; raises UnsupportedOperatorError on every call when it does not
-        exist."""
-        if c not in self._cone_qps:
+        N_C, built on the first call for the set ``c`` and kept on the
+        carrier for later ones; raises UnsupportedOperatorError on every
+        call when it does not exist."""
+        qps = self.data.cone_qps
+        if c not in qps:
             try:
-                self._cone_qps[c] = ConeSumQP.build(ops.linear_form(self.operator), c)
+                qps[c] = ConeSumQP.build(ops.linear_form(self.operator), c)
             except ops.UnsupportedOperatorError as exc:
-                self._cone_qps[c] = str(exc)
-        out = self._cone_qps[c]
+                qps[c] = str(exc)
+        out = qps[c]
         if isinstance(out, str):
             raise ops.UnsupportedOperatorError(out)
         return out
@@ -272,12 +242,15 @@ class FitzEvaluator:
 
 
 def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
-    """Build the closed-form evaluator; raises UnsupportedOperatorError when
-    the zoo offers none (p > 1 subdifferentials, sums other than linear +
-    linear and linear + normal cone, and cone sums outside
-    :class:`ConeSumQP`'s hypotheses)."""
-    if isinstance(op, (ops.LinearMapOp, ops.LinearRelationOp)):
-        return FitzEvaluator(op, "quadratic", _carrier(op))
+    """The closed-form evaluator, a view over the data the descriptors keep;
+    raises NotMonotoneError for a linear form that is not monotone and
+    UnsupportedOperatorError when the zoo offers none (p > 1
+    subdifferentials, sums other than linear + linear and linear + normal
+    cone, and cone sums outside :class:`ConeSumQP`'s hypotheses)."""
+    lin = ops.linear_form(op)
+    if lin is not None:
+        ops.require_monotone(lin)
+        return FitzEvaluator(op, "quadratic", lin.carrier)
     if isinstance(op, ops.NormalConeOp):
         return FitzEvaluator(op, "indicator_support", op.set)
     if isinstance(op, ops.NormSubdiffOp):
@@ -286,20 +259,18 @@ def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
         raise ops.UnsupportedOperatorError(
             "no closed form for p > 1 norm subdifferentials; use fitz_bruteforce")
     if isinstance(op, ops.SumOp):
-        if op.relation is not None:
-            return FitzEvaluator(op, "quadratic", _carrier(op.relation))
         lin, cone = ops.split_linear_cone(*op.terms)
-        return FitzEvaluator(op, "cone_sum", ConeSumQP.build(lin, cone.set))
+        return FitzEvaluator(op, "cone_sum", fitz_evaluator(lin).cone_qp(cone.set))
     raise ops.UnsupportedOperatorError(f"no evaluator for {type(op).__name__}")
 
 
 def fitz_linear_map(op: ops.LinearMapOp, x, xs) -> float:
     """F_A(x, x*) for a monotone linear map (see module docstring)."""
-    return _carrier(op).evaluate(as_vector(x, op.dim), as_vector(xs, op.dim))
+    return fitz_evaluator(op).evaluate(x, xs)
 
 
 def fitz_linear_relation(op: ops.LinearRelationOp, x, xs) -> float:
-    return _carrier(op).evaluate(as_vector(x, op.dim), as_vector(xs, op.dim))
+    return fitz_evaluator(op).evaluate(x, xs)
 
 
 def fitz_normal_cone(op: ops.NormalConeOp, x, xs, tol=CARRIER_TOL) -> float:
@@ -383,18 +354,6 @@ def golden_section(h, lo, hi, iters=80):
     return t, h(t)
 
 
-def _linear_chart_max(op, x, xs):
-    """On the chart t -> (U t, V t) the objective is c't - t'Wt with
-    c = V'x + U'x*, maximised at t = W^+ c / 2 (a lower bound of F when c
-    is off ran W, where F = +inf).  None for a non-monotone operator."""
-    try:
-        cq = _carrier(op)
-    except ops.NotMonotoneError:
-        return None
-    t = 0.5 * (cq.p @ cq.c_of(x, xs))
-    return cq.u @ t, cq.v @ t
-
-
 # The p > 1 radius search: a log-spaced grid of this many decades below the
 # radius past which the objective is negative, at this many points a decade.
 # The grid stops at 10^100 so that its squares stay finite; a maximiser
@@ -442,38 +401,15 @@ def _power_chart_max(p, x, xs):
     return r * u, r ** (p - 1.0) * u
 
 
-def _sum_chart_max(op, x, xs):
-    """Maximiser over a sum's graph: the sum relation's chart, or the
-    cone-sum QP; None when there is no closed form."""
-    if op.relation is not None:
-        return _linear_chart_max(op.relation, x, xs)
-    try:
-        ev = fitz_evaluator(op)
-    except (ops.UnsupportedOperatorError, ops.NotMonotoneError):
-        return None
-    return ev.data.maximiser(x, xs)[1]
-
-
 def _chart_polish(op, x, xs):
-    """The exact maximiser of <x, a*> + <a, x*> - <a, a*> over the graph's
-    natural chart: linear maps and relations, sums with a closed form
-    (:func:`_sum_chart_max`), and norm subdifferentials (for p = 1 the kink
-    pair (0, x/||x||), whose value is ||x||).
-
-    Every candidate is a genuine graph point, so the value remains a lower
-    bound of the true supremum; (-inf, None) when there is no candidate.
-    """
-    if isinstance(op, (ops.LinearMapOp, ops.LinearRelationOp)):
-        pair = _linear_chart_max(op, x, xs)
-    elif isinstance(op, ops.NormSubdiffOp) and op.p == 1.0:
-        nx = float(np.linalg.norm(x))
-        pair = (np.zeros_like(x), x / nx if nx > 0 else np.zeros_like(x))
-    elif isinstance(op, ops.NormSubdiffOp):
-        pair = _power_chart_max(op.p, x, xs)
-    elif isinstance(op, ops.SumOp):
-        pair = _sum_chart_max(op, x, xs)
-    else:
-        pair = None
+    """The exact maximiser of <x, a*> + <a, x*> - <a, a*> over the graph:
+    :meth:`FitzEvaluator.maximiser`, or for p > 1 (no evaluator) the radius
+    search.  Every candidate is a graph point, so the value remains a lower
+    bound of the supremum; (-inf, None) when there is no candidate."""
+    try:
+        pair = fitz_evaluator(op).maximiser(x, xs)
+    except (ops.NotMonotoneError, ops.UnsupportedOperatorError):
+        pair = _power_chart_max(op.p, x, xs) if isinstance(op, ops.NormSubdiffOp) else None
     if pair is None:
         return -math.inf, None
     return _objective(x, xs)(*pair), pair
@@ -507,9 +443,9 @@ def fitz_bruteforce(op, x, xs, count=10000, radius=10.0, seed=0, polish=True,
     the objective's maximum in one vectorised expression.  When the query
     pair itself lies on the graph it joins the candidate set, which pins
     the value to the pairing there.  With ``polish`` the exact chart
-    maximiser joins it too (:func:`_chart_polish`), so a finite F of a
-    linear map or relation, a sum with a closed form or a norm
-    subdifferential is attained up to rounding.  The
+    maximiser joins it too (:func:`_chart_polish`, the evaluator's
+    maximiser), so a finite F of a linear map or relation, a sum with a
+    closed form or a norm subdifferential is attained up to rounding.  The
     result is always a lower bound of the true F; ``diverging`` flags the
     indicator-type +inf suspicion from the sups at radius x1, x2 and x4.
     The x1 sup is the first pass, so a call draws 3 * ``count`` pairs with

@@ -24,7 +24,11 @@ while a map's application and sampling keep its matrix.  Each convex set
 owns its normal-cone helpers (the set protocol below).
 
 All descriptors are immutable; every operation is pure given an explicit
-seed, so concurrent use needs no synchronization.
+seed, so concurrent use needs no synchronization.  A descriptor keeps what
+is derived from it alone after first use: its ``validate()`` report and,
+for a map or relation, its Fitzpatrick carrier (:class:`CarrierQuadratic`)
+with a cone-sum QP per set.  Nothing kept refers back to the descriptor;
+two concurrent first uses may both compute it, with identical results.
 """
 
 from __future__ import annotations
@@ -46,9 +50,11 @@ from .linalg import (
     bounded_qp,
     complement,
     contains,
+    eig_pinv,
     intersect,
     null_space,
     orthonormalize,
+    rank_cutoff,
     sym_eig,
     zero_space,
 )
@@ -58,6 +64,9 @@ MONOTONE_TOL = 1e-10
 
 # Membership tolerance for set and graph tests.
 MEMBER_TOL = 1e-9
+
+# Relative slack of the Fitzpatrick carrier test ||null' c|| ~ 0.
+CARRIER_TOL = 1e-9
 
 # Depth of an interior point: "meets ri C" is "meets C shrunk by this margin".
 INTERIOR_MARGIN = 1e-6
@@ -473,14 +482,70 @@ def support_function(c: ConvexSetDescriptor, u) -> float:
 # operator descriptors
 # ---------------------------------------------------------------------------
 
-class _Linear:
+class _Descriptor:
+    """``validate()`` returns ``_report()``, kept after first use.  Kept data
+    takes no lock (``functools.cached_property`` holds one per property
+    before Python 3.12, which nested first uses in two threads deadlock on)."""
+
+    def validate(self) -> "ValidationReport":
+        if "report" not in self.__dict__:
+            self.__dict__["report"] = self._report()
+        return self.__dict__["report"]
+
+
+@dataclass(frozen=True, eq=False)
+class CarrierQuadratic:
+    """F(x, u) = (1/4) c' P c on the affine carrier {c in ran W}, c = V'x +
+    U'u, W = (U'V + V'U)/2.  One eigendecomposition of W gives ``lam``
+    (descending; it decides monotonicity), P = pinv(W) and ``null``, a basis
+    of ker W (the carrier test is ||null' c|| ~ 0).  ``cone_qps`` keeps the
+    cone-sum QP of the operator plus N_C per set, or why there is none."""
+
+    u: np.ndarray       # (n, k)
+    v: np.ndarray       # (n, k)
+    lam: np.ndarray     # (k,) eigenvalues of W, descending
+    p: np.ndarray       # pinv(W)
+    null: np.ndarray    # (k, m) orthonormal basis of ker W
+    cone_qps: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def build(cls, u, v) -> "CarrierQuadratic":
+        lam, q = sym_eig(0.5 * (u.T @ v + v.T @ u))
+        # P and ker W are read only once lam has passed the monotonicity
+        # test, so an eigenvalue at or below the cutoff (even < 0) is kernel
+        cut = rank_cutoff(lam)
+        return cls(u=u, v=v, lam=lam, p=eig_pinv(lam, q, cut), null=q[:, lam <= cut])
+
+    def c_of(self, x, u) -> np.ndarray:
+        return self.v.T @ x + self.u.T @ u
+
+    def on_carrier(self, c, tol=CARRIER_TOL) -> bool:
+        if self.null.shape[1] == 0:
+            return True
+        resid = float(np.linalg.norm(self.null.T @ c))
+        return resid <= tol * (1.0 + float(np.linalg.norm(c)))
+
+    def evaluate(self, x, u, tol=CARRIER_TOL) -> float:
+        c = self.c_of(x, u)
+        if not self.on_carrier(c, tol):
+            return math.inf
+        return 0.25 * float(c @ self.p @ c)
+
+
+class _Linear(_Descriptor):
     """Maps and relations: every verdict reads the graph chart (U, V)."""
 
-    def validate(self):
-        u, v = self.u_block, self.v_block
-        w, _ = sym_eig(0.5 * (u.T @ v + v.T @ u))
-        lam_min = float(w[-1]) if w.size else 0.0
-        mono, k = lam_min >= -MONOTONE_TOL, u.shape[1]
+    @property
+    def carrier(self) -> CarrierQuadratic:
+        """The Fitzpatrick carrier of the graph chart, kept after first use."""
+        if "carrier" not in self.__dict__:
+            self.__dict__["carrier"] = CarrierQuadratic.build(self.u_block, self.v_block)
+        return self.__dict__["carrier"]
+
+    def _report(self):
+        lam = self.carrier.lam
+        lam_min = float(lam[-1]) if lam.size else 0.0
+        mono, k = lam_min >= -MONOTONE_TOL, lam.size
         return ValidationReport(mono, mono and k == self.dim,
                                 f"graph form min eigenvalue = {lam_min:.6e}, "
                                 f"dim gra = {k} (n = {self.dim})")
@@ -689,7 +754,7 @@ _SUM_DRAW_CAP = 64
 
 
 @dataclass(frozen=True, eq=False)
-class SumOp:
+class SumOp(_Descriptor):
     """Pointwise sum of two operators on the same space.
 
     When both terms are linear maps or relations, A + B is again one linear
@@ -719,7 +784,7 @@ class SumOp:
     def dim(self):
         return self.terms[0].dim
 
-    def validate(self):
+    def _report(self):
         if self.relation is not None:
             return self.relation.validate()
         terms = [t.validate() for t in self.terms]
@@ -764,7 +829,7 @@ class SumOp:
 
 
 @dataclass(frozen=True, eq=False)
-class TranslatedOp:
+class TranslatedOp(_Descriptor):
     """Graph translation: gra = gra(inner) + {(shift_x, shift_xs)}."""
 
     inner: "OperatorDescriptor"
@@ -780,7 +845,7 @@ class TranslatedOp:
     def dim(self):
         return self.inner.dim
 
-    def validate(self):
+    def _report(self):
         inner = self.inner.validate()
         return ValidationReport(inner.monotone, inner.maximal, f"translation of: {inner.detail}")
 

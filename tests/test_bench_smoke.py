@@ -13,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["exact", "cones"])
+@pytest.mark.parametrize("workload", ["exact", "oracle", "cones", "cli"])
 def test_a_short_traced_benchmark_round_is_correct(workload, tmp_path):
     # the benchmark runner's child environment: one BLAS thread, this source
     env = {k: v for k, v in os.environ.items() if k != "ENLARGEKIT_SEED"}

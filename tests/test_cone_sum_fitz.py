@@ -393,8 +393,12 @@ def test_the_cone_sum_qp_is_built_once_per_set(monkeypatch):
             fz.partial_inf_conv(fa, fc, c.project(rng.normal(size=2)), rng.normal(size=2))
     assert built == [box, ball]
     built.clear()
+    # a keeps its QP per set: the check reuses the box QP built above, and
+    # with a fresh map the left side reads the right side's QP
     sum_fitz_exactness(a, NormalConeOp(box), n_points=16, seed=3)
-    assert built == [box]  # the left side reads the right side's QP
+    assert built == []
+    sum_fitz_exactness(LinearMapOp(a.matrix), NormalConeOp(box), n_points=16, seed=3)
+    assert built == [box]
 
 
 def test_the_cone_sum_check_solves_the_qp_once_per_point(monkeypatch):

@@ -416,14 +416,14 @@ def _lstsq_prox(piece, w, t):
 
 
 def test_factored_quad_prox_matches_the_kkt_solve():
-    from enlargekit.fitzpatrick import _QuadPiece, _carrier as _carrier_from_map, _carrier as _carrier_from_relation
+    from enlargekit.fitzpatrick import _QuadPiece
 
     rng = np.random.default_rng(8)
     for n in (1, 2, 3, 5):
         g = rng.normal(size=(n, n))
         k = rng.normal(size=(n, n))
-        full = _carrier_from_map(LinearMapOp(g @ g.T + 0.5 * (k - k.T)))
-        skew = _carrier_from_map(LinearMapOp(0.5 * (k - k.T)))  # carrier rows: W = 0
+        full = LinearMapOp(g @ g.T + 0.5 * (k - k.T)).carrier
+        skew = LinearMapOp(0.5 * (k - k.T)).carrier  # carrier rows: W = 0
         for cq in (full, skew):
             assert (cq.null.shape[1] > 0) == (cq is skew)
             for sign in (-1.0, 1.0):
@@ -433,7 +433,7 @@ def test_factored_quad_prox_matches_the_kkt_solve():
                         w = rng.normal(size=n)
                         np.testing.assert_allclose(piece.prox(w, t), _lstsq_prox(piece, w, t),
                                                    rtol=0, atol=1e-12)
-    rel = _carrier_from_relation(vertical_relation())
+    rel = vertical_relation().carrier
     piece = _QuadPiece(rel, np.array([0.7]), 1.0)
     assert piece.e.shape[0] == 1
     np.testing.assert_allclose(piece.prox(np.array([0.4]), 1.0),
