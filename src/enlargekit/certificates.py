@@ -104,11 +104,8 @@ def non_enlargeable_single_valued(a: ops.LinearMapOp) -> NonEnlargeableCertifica
     if ops.is_skew(a):
         return NonEnlargeableCertificate(True, None, "skew-test",
                                          "A + A' vanishes")
-    sym = 0.5 * (a.matrix + a.matrix.T)
-    from .linalg import sym_eig
-    w, q = sym_eig(sym)
-    lam, u = float(w[0]), q[:, 0]
-    zs = math.sqrt(2.0 * lam) * u
+    cq = a.carrier  # W = A_+, eigenvalues descending
+    zs = math.sqrt(2.0 * float(cq.lam[0])) * cq.q[:, 0]
     return NonEnlargeableCertificate(
         False, (np.zeros(a.dim), zs), "skew-test",
         "conjugate of the symmetric-part form is 1 at the witness, so the "

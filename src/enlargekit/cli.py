@@ -183,7 +183,7 @@ def _classification(op):
 def cmd_classify(args):
     op, raw = load_spec(args.spec)
     results = _classification(op)
-    tol = {"membership": MEMBERSHIP_TOL, "eigenvalue_slack": 1e-10}
+    tol = {"membership": MEMBERSHIP_TOL, "eigenvalue_slack": ops.MONOTONE_TOL}
     emit("classify", _digest(raw), args.seed, tol, results)
     return EXIT_OK if results["monotone"] else EXIT_PRECONDITION
 

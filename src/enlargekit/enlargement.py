@@ -4,13 +4,16 @@ for monotone linear maps, and the norm subdifferential's slice at 0.
 A pair (x, x*) belongs to the enlargement A_eps exactly when
 F_A(x, x*) <= <x, x*> + eps (Burachik-Svaiter 2002), and every membership
 test here reads that one inequality: :func:`enl_member` decides it, with
-the slack in its verdict; the graph tests of a skew relation, the p = 1
-norm subdifferential and a normal cone are :func:`enl_member` on that
-kind; the sampled oracle of a norm subdifferential compares the lower
-bound of F from :func:`fitzpatrick.fitz_bruteforce` with the same right
-side.  Slices A_eps(x) of a monotone linear map are ellipsoids described
-exactly (center + quadratic form + level + carrier subspace), never as
-point clouds, so boundary-tight tests stay exact.
+the slack in its verdict (for a kind with no closed form, from the lower
+bound of F that :func:`fitzpatrick.fitz_bruteforce` samples); the graph
+tests of a skew relation, the p = 1 norm subdifferential and a normal cone
+are :func:`enl_member` on that kind.  Slices A_eps(x) of a monotone linear
+map are ellipsoids described exactly (center + quadratic form + level +
+carrier subspace), never as point clouds, so boundary-tight tests stay
+exact.  They read the map's kept carrier (:class:`operators.CarrierQuadratic`:
+pinv(A_+) and a basis of ran A_+), so a slice decomposes nothing; only
+:meth:`EllipsoidSlice.semiaxes` and :meth:`EllipsoidSlice.boundary_points`
+decompose the slice's own form.
 
 Membership comparisons use a uniform absolute boundary tolerance of
 ``SLACK_TOL``.
@@ -25,14 +28,7 @@ import numpy as np
 
 from . import operators as ops
 from .fitzpatrick import fitz_bruteforce, fitz_closed_form, pairing
-from .linalg import (
-    Subspace,
-    as_vector,
-    pseudoinverse,
-    rank_cutoff,
-    sym_eig,
-    zero_space,
-)
+from .linalg import Subspace, as_vector, sym_eig
 
 SLACK_TOL = 1e-9
 
@@ -134,17 +130,10 @@ class EllipsoidSlice:
         return [self.center + b @ (scale @ u) for u in units]
 
 
-def _symmetric_part_psd(a: ops.LinearMapOp) -> np.ndarray:
+def _range_subspace(a: ops.LinearMapOp) -> Subspace:
+    """ran A_+ of a monotone map, from its kept carrier."""
     ops.require_monotone(a)
-    return 0.5 * (a.matrix + a.matrix.T)
-
-
-def _range_subspace(sym) -> Subspace:
-    w, q = sym_eig(sym)
-    cols = q[:, w > rank_cutoff(w)]
-    if cols.shape[1] == 0:
-        return zero_space(sym.shape[0])
-    return Subspace(sym.shape[0], cols)
+    return Subspace(a.dim, a.carrier.ran)
 
 
 def enl_slice_linear(a: ops.LinearMapOp, x, eps) -> EllipsoidSlice:
@@ -153,9 +142,9 @@ def enl_slice_linear(a: ops.LinearMapOp, x, eps) -> EllipsoidSlice:
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     x = as_vector(x, a.dim)
-    sym = _symmetric_part_psd(a)
-    return EllipsoidSlice(center=a.matrix @ x, form=pseudoinverse(sym),
-                          level=4.0 * float(eps), carrier=_range_subspace(sym))
+    ran = _range_subspace(a)
+    return EllipsoidSlice(center=a.matrix @ x, form=a.carrier.p,
+                          level=4.0 * float(eps), carrier=ran)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +156,7 @@ class ParametricSlice:
     gen: np.ndarray
     sym: np.ndarray   # A_+, the quadratic's matrix
     bound: float
+    ran: Subspace     # ran A_+
 
     def image_contains(self, zs, tol=SLACK_TOL) -> bool:
         zs = as_vector(zs, self.base.shape[0])
@@ -180,7 +170,7 @@ class ParametricSlice:
         """Images of parameters with (1/2) z' A z = bound exactly."""
         inner = EllipsoidSlice(center=np.zeros(self.base.shape[0]),
                                form=self.sym, level=2.0 * self.bound,
-                               carrier=_range_subspace(self.sym))
+                               carrier=self.ran)
         return [self.base + self.gen @ z for z in inner.boundary_points(num, seed)]
 
 
@@ -190,9 +180,10 @@ def enl_slice_param(a: ops.LinearMapOp, x, eps) -> ParametricSlice:
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     x = as_vector(x, a.dim)
-    sym = _symmetric_part_psd(a)
+    ran = _range_subspace(a)
+    sym = ops.symmetric_part(a)
     return ParametricSlice(base=a.matrix @ x, gen=2.0 * sym, sym=sym,
-                           bound=0.5 * float(eps))
+                           bound=0.5 * float(eps), ran=ran)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +212,7 @@ def normal_cone_enl_member(nc: ops.NormalConeOp, x, xs, eps) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# norm subdifferentials: the slice at 0 and the sampled oracle
+# norm subdifferentials: the slice at 0
 # ---------------------------------------------------------------------------
 
 def eps_subdiff_slice(n: ops.NormSubdiffOp, eps) -> ops.BallValue:
@@ -234,20 +225,3 @@ def eps_subdiff_slice(n: ops.NormSubdiffOp, eps) -> ops.BallValue:
     q = n.p / (n.p - 1.0)
     radius = n.p ** (1.0 / n.p) * (q * float(eps)) ** (1.0 / q)
     return ops.BallValue(np.zeros(n.dim), radius)
-
-
-def eps_subdiff_oracle(n: ops.NormSubdiffOp, x, xs, eps,
-                       count=2000, radius=16.0, seed=0) -> bool:
-    """Necessary-condition check of enlargement membership by sampling.
-
-    False when a graph pair (y, y*) of the subdifferential violates
-    <x - y, xs - y*> >= -eps, that is when the lower bound of F from
-    :func:`fitz_bruteforce` (graph samples, and the exact chart maximiser
-    of its polish) exceeds <x, xs> + eps: conclusive non-membership.
-    True means that no violation was found.
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    res = fitz_bruteforce(n, x, xs, count=count, radius=radius, seed=seed,
-                          divergence_check=False)
-    return res.value <= pairing(x, xs) + eps + SLACK_TOL

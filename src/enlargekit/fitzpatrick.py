@@ -7,7 +7,9 @@ Closed forms implemented here:
   F(x, x*) = (1/4) c' W^+ c  with  c = V'x + U'x*  and the form
   W = (U'V + V'U)/2; the value is finite exactly when c lies in ran W.
   A linear map A is the relation charted by U = I, V = A, so there
-  c = x* + A'x and W is the symmetric part ``(A + A')/2``.
+  c = x* + A'x and W is the symmetric part ``(A + A')/2``.  Every
+  evaluation reads the operator's kept :class:`operators.CarrierQuadratic`
+  (W^+ and a basis of ker W), so nothing here decomposes W.
 * normal cone of a bounded closed convex set C:  indicator(x in C) +
   support_C(x*).
 * A + N_C for a maximally monotone linear A with domain D and a ball, box
@@ -49,15 +51,7 @@ import numpy as np
 
 from . import operators as ops
 from .operators import CARRIER_TOL, CarrierQuadratic, SolverFailureError
-from .linalg import (
-    as_vector,
-    check_symmetric,
-    eig_pinv,
-    pseudoinverse,
-    range_contains,
-    rank_cutoff,
-    sym_eig,
-)
+from .linalg import as_vector, eig_pinv, rank_cutoff, sym_eig
 
 # Largest duality gap of a cone-sum QP, relative to 1 + |F|, before the
 # value is refused.
@@ -71,40 +65,6 @@ def __getattr__(name):
         import scipy
         return scipy
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# quadratic forms and their conjugates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class QuadForm:
-    """The convex quadratic x -> (1/2) <x, S x> with S symmetric PSD."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        m = check_symmetric(self.s)
-        w, _ = sym_eig(m)
-        if w.size and float(w[-1]) < -rank_cutoff(w):
-            from .linalg import NotPSDError
-            raise NotPSDError(f"form has eigenvalue {w[-1]:.3e}")
-        object.__setattr__(self, "s", m)
-
-    def value(self, x) -> float:
-        x = as_vector(x, self.s.shape[0])
-        return 0.5 * float(x @ self.s @ x)
-
-
-def qconj(q: QuadForm, y, tol=CARRIER_TOL) -> float:
-    """Fenchel conjugate of the quadratic form at y.
-
-    Finite exactly on the range of S, where it equals (1/2) y' S^+ y.
-    """
-    y = as_vector(y, q.s.shape[0])
-    if not range_contains(q.s, y, tol):
-        return math.inf
-    return 0.5 * float(y @ pseudoinverse(q.s) @ y)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Dense small-scale linear algebra: symmetric eigendecompositions,
-Moore-Penrose pseudoinverses, range tests and subspace arithmetic.
+Moore-Penrose pseudoinverses and subspace arithmetic.
 
 Everything here is sized for desk-scale problems (n up to a few dozen);
 all algorithms are dense and deterministic.  Two small convex QP solvers
@@ -138,27 +138,6 @@ def eig_pinv(w, q, cut) -> np.ndarray:
     matrix included) read as zero; it does not check the signs."""
     inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
     return (q * inv) @ q.T
-
-
-def range_projector(m, rank_tol=None) -> np.ndarray:
-    """Orthogonal projector onto the range of a symmetric matrix."""
-    w, q = sym_eig(m)
-    cut = rank_cutoff(w, rank_tol)
-    keep = np.abs(w) > cut
-    qr = q[:, keep]
-    return qr @ qr.T
-
-
-def range_contains(m, y, tol=1e-9) -> bool:
-    """Whether ``y`` lies in the range of the symmetric matrix ``m``.
-
-    True iff ``||(I - P_ran) y|| <= tol * (1 + ||y||)``.
-    """
-    a = check_symmetric(m)
-    v = as_vector(y, dim=a.shape[0])
-    p = range_projector(a)
-    resid = float(np.linalg.norm(v - p @ v))
-    return resid <= tol * (1.0 + float(np.linalg.norm(v)))
 
 
 @dataclass(frozen=True, eq=False)

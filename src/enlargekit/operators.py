@@ -496,25 +496,34 @@ class _Descriptor:
 @dataclass(frozen=True, eq=False)
 class CarrierQuadratic:
     """F(x, u) = (1/4) c' P c on the affine carrier {c in ran W}, c = V'x +
-    U'u, W = (U'V + V'U)/2.  One eigendecomposition of W gives ``lam``
-    (descending; it decides monotonicity), P = pinv(W) and ``null``, a basis
-    of ker W (the carrier test is ||null' c|| ~ 0).  ``cone_qps`` keeps the
-    cone-sum QP of the operator plus N_C per set, or why there is none."""
+    U'u, W = (U'V + V'U)/2.  The one eigendecomposition of a linear
+    operator's graph form: it keeps ``lam`` (descending; it decides
+    monotonicity) and the eigenvectors ``q``, P = pinv(W), and the rank
+    split of q into ``ran`` and ``null``, bases of ran W and ker W (the
+    carrier test is ||null' c|| ~ 0).  For a map (U = I, V = A) W is the
+    symmetric part of A, so its enlargement slices and skew witness read
+    these too.  ``cone_qps`` keeps the cone-sum QP of the operator plus
+    N_C per set, or why there is none."""
 
     u: np.ndarray       # (n, k)
     v: np.ndarray       # (n, k)
     lam: np.ndarray     # (k,) eigenvalues of W, descending
+    q: np.ndarray       # (k, k) orthonormal eigenvectors, columns as lam
     p: np.ndarray       # pinv(W)
-    null: np.ndarray    # (k, m) orthonormal basis of ker W
+    ran: np.ndarray     # (k, r) orthonormal basis of ran W
+    null: np.ndarray    # (k, k - r) orthonormal basis of ker W
     cone_qps: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, u, v) -> "CarrierQuadratic":
         lam, q = sym_eig(0.5 * (u.T @ v + v.T @ u))
-        # P and ker W are read only once lam has passed the monotonicity
-        # test, so an eigenvalue at or below the cutoff (even < 0) is kernel
+        # P and the rank split are read only once lam has passed the
+        # monotonicity test, so an eigenvalue at or below the cutoff (even
+        # < 0) is kernel; ran is a mask copy like null, since a strided
+        # view of q would round the slices' products differently
         cut = rank_cutoff(lam)
-        return cls(u=u, v=v, lam=lam, p=eig_pinv(lam, q, cut), null=q[:, lam <= cut])
+        return cls(u=u, v=v, lam=lam, q=q, p=eig_pinv(lam, q, cut),
+                   ran=q[:, lam > cut], null=q[:, lam <= cut])
 
     def c_of(self, x, u) -> np.ndarray:
         return self.v.T @ x + self.u.T @ u

@@ -183,6 +183,18 @@ def test_enlarge_slice_of_a_linear_sum_matches_its_map(specs):
     assert got["level"] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_enlarge_slice_of_a_rounding_negative_map(tmp_path):
+    # the symmetric part's -5e-11 passes validate (slack 1e-10): the spec
+    # is valid, and its slice lives on the one-dimensional carrier
+    spec = write_spec(tmp_path, "dust.json", {
+        "space_dim": 2,
+        "operator": {"kind": "linear_map", "matrix": [[0.1, 0], [0, -5e-11]]}})
+    res = run_json("enlarge", spec, "--eps", "0.5", "--slice-at", "1,0")["results"]
+    assert res["carrier_dim"] == 1
+    assert res["center"] == pytest.approx([0.1, 0.0], abs=1e-15)
+    assert res["semiaxes"] == pytest.approx([math.sqrt(0.2)], abs=1e-12)
+
+
 def test_enlarge_norm_subdiff_boundary_point(specs):
     doc = run_json("enlarge", specs["norm1"], "--eps", "1",
                    "--point", "1,0,0,1")

@@ -17,11 +17,12 @@ from enlargekit.operators import (
     sample_graph,
 )
 from enlargekit.linalg import complement
+from enlargekit.fitzpatrick import fitz_bruteforce, pairing
 from enlargekit.enlargement import (
+    SLACK_TOL,
     enl_member,
     enl_slice_linear,
     enl_slice_param,
-    eps_subdiff_oracle,
     eps_subdiff_slice,
     norm_subdiff_enl_member,
     normal_cone_enl_member,
@@ -115,6 +116,26 @@ def test_slice_rank_deficient_carrier():
     assert s.carrier.dim == 1
     assert s.contains([1.0 + 1.9, 0.0])
     assert not s.contains([1.0, 0.1])  # off the carrier
+
+
+def test_rounding_negative_symmetric_part_slices_on_its_carrier():
+    # -5e-11 is within the monotonicity slack and below the rank cutoff:
+    # validate calls the map maximal monotone, and both slice forms read
+    # that eigenvalue as kernel instead of refusing the map
+    a = LinearMapOp(np.diag([0.1, -5e-11]))
+    assert a.validate().maximal
+    x, eps = np.array([1.0, 0.0]), 0.5
+    s = enl_slice_linear(a, x, eps)
+    assert s.carrier.dim == 1
+    np.testing.assert_allclose(s.form, np.diag([10.0, 0.0]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(s.semiaxes(), [math.sqrt(0.2)], rtol=0, atol=1e-12)
+    assert s.contains([0.1 + 0.99 * math.sqrt(0.2), 0.0])
+    assert not s.contains([0.1 + 1.01 * math.sqrt(0.2), 0.0])
+    assert not s.contains([0.1, 1e-3])  # off the carrier
+    p = enl_slice_param(a, x, eps)
+    assert p.ran.dim == 1
+    for zs in p.boundary_points(8):
+        assert s.contains(zs, tol=1e-7)
 
 
 def test_param_slice_identity_segment():
@@ -219,6 +240,14 @@ def test_eps_zero_recovers_graph():
             assert enl_member(op, x, xs, 0.0).member == graph_member(op, x, xs, 1e-9)
 
 
+def _sampled_member(op, x, xs, eps, count, seed):
+    """No violation found: the sampled lower bound of F (graph samples
+    and the polish, no divergence check) is at most <x, xs> + eps."""
+    res = fitz_bruteforce(op, x, xs, count=count, radius=16.0, seed=seed,
+                          divergence_check=False)
+    return res.value <= pairing(x, xs) + eps + SLACK_TOL
+
+
 def test_oracle_agrees_with_closed_form_p1():
     op = NormSubdiffOp(dim=2, p=1.0)
     rng = np.random.default_rng(14)
@@ -228,7 +257,7 @@ def test_oracle_agrees_with_closed_form_p1():
         xs = rng.normal(size=2)
         eps = float(rng.uniform(0, 1))
         closed = norm_subdiff_enl_member(op, x, xs, eps)
-        sampled = eps_subdiff_oracle(op, x, xs, eps, count=400, seed=2)
+        sampled = _sampled_member(op, x, xs, eps, count=400, seed=2)
         if closed:
             assert sampled  # a violation against a true member would be unsound
         if not sampled:
@@ -243,16 +272,16 @@ def test_oracle_matches_slice_radius_p_greater_one():
         for eps in (0.1, 0.5):
             r = eps_subdiff_slice(op, eps).radius
             d = np.array([1.0, 0.0])
-            assert eps_subdiff_oracle(op, np.zeros(2), (r - 1e-6) * d, eps,
-                                      count=400, seed=1)
-            assert not eps_subdiff_oracle(op, np.zeros(2), (r + 1e-6) * d, eps,
-                                          count=400, seed=1)
+            assert _sampled_member(op, np.zeros(2), (r - 1e-6) * d, eps,
+                                   count=400, seed=1)
+            assert not _sampled_member(op, np.zeros(2), (r + 1e-6) * d, eps,
+                                       count=400, seed=1)
 
 
 def test_oracle_eps_zero_is_subgradient_check():
     op = NormSubdiffOp(dim=2, p=2.0)
-    assert eps_subdiff_oracle(op, [1.0, 0.0], [1.0, 0.0], 0.0, count=400, seed=0)
-    assert not eps_subdiff_oracle(op, [1.0, 0.0], [1.5, 0.0], 0.0, count=400, seed=0)
+    assert _sampled_member(op, [1.0, 0.0], [1.0, 0.0], 0.0, count=400, seed=0)
+    assert not _sampled_member(op, [1.0, 0.0], [1.5, 0.0], 0.0, count=400, seed=0)
 
 
 # ---------------------------------------------------------------------------

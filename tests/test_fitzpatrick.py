@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from enlargekit.operators import (
     Ball,
@@ -18,7 +17,6 @@ from enlargekit.operators import (
 from enlargekit.fitzpatrick import (
     FitzEvaluator,
     InfConvResult,
-    QuadForm,
     fitz_bruteforce,
     fitz_closed_form,
     fitz_evaluator,
@@ -28,7 +26,6 @@ from enlargekit.fitzpatrick import (
     fitz_normal_cone,
     pairing,
     partial_inf_conv,
-    qconj,
 )
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -36,41 +33,6 @@ ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 def vertical_relation():
     return LinearRelationOp.from_graph_columns(np.array([[0.0], [1.0]]), dim=1)
-
-
-# --- conjugates of quadratic forms -----------------------------------------
-
-def test_qconj_identity():
-    assert qconj(QuadForm(np.eye(2)), [2.0, 0.0]) == pytest.approx(2.0)
-
-
-def test_qconj_zero_form_is_indicator():
-    q = QuadForm(np.zeros((2, 2)))
-    assert qconj(q, [0.0, 0.0]) == 0.0
-    assert math.isinf(qconj(q, [0.0, 1.0]))
-
-
-def test_qconj_degenerate_diag():
-    q = QuadForm(np.diag([2.0, 0.0]))
-    assert qconj(q, [4.0, 0.0]) == pytest.approx(4.0)
-    assert math.isinf(qconj(q, [0.0, 1.0]))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
-def test_qconj_shift_identity(n, seed):
-    # q*(xs + S x) = q(x) + <x, xs> + q*(xs) whenever xs is in ran S,
-    # and q* o S = q.
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(n, max(1, n - 1)))
-    s = g @ g.T
-    q = QuadForm(s)
-    x = rng.normal(size=n)
-    xs = s @ rng.normal(size=n)
-    lhs = qconj(q, xs + s @ x)
-    rhs = q.value(x) + float(x @ xs) + qconj(q, xs)
-    assert lhs == pytest.approx(rhs, abs=1e-8)
-    assert qconj(q, s @ x) == pytest.approx(q.value(x), abs=1e-8)
 
 
 # --- closed forms ------------------------------------------------------------

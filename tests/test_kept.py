@@ -1,5 +1,6 @@
 """What a descriptor keeps after first use: one eigendecomposition of the
-graph form serves both ``validate`` and the Fitzpatrick carrier, repeated
+graph form serves ``validate``, the Fitzpatrick carrier, a map's
+enlargement slices and its skew witness, repeated
 verdicts on one operator decompose nothing again, and nothing kept refers
 back to its descriptor, so every descriptor is freed by reference counting
 alone.  Concurrent first uses take no lock and agree with a serial run."""
@@ -13,8 +14,12 @@ import weakref
 import numpy as np
 import pytest
 
-from enlargekit.certificates import random_monotone_matrix, sum_fitz_exactness
-from enlargekit.enlargement import enl_member
+from enlargekit.certificates import (
+    non_enlargeable_single_valued,
+    random_monotone_matrix,
+    sum_fitz_exactness,
+)
+from enlargekit.enlargement import enl_member, enl_slice_linear
 from enlargekit.fitzpatrick import fitz_bruteforce, fitz_evaluator
 from enlargekit.operators import Box, LinearMapOp, NormalConeOp, SumOp, TranslatedOp
 
@@ -44,6 +49,19 @@ def test_repeated_membership_tests_decompose_the_map_once(monkeypatch):
     verdicts = [enl_member(a, x, xs, 0.5) for x, xs in points]
     assert all(v.method == "closed_form" for v in verdicts)
     assert len(calls) <= 1
+
+
+def test_slices_and_the_skew_witness_read_the_kept_carrier(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = random_monotone_matrix(40, rng)
+    assert a.validate().maximal
+    points = [rng.normal(size=40) for _ in range(10)]
+    calls = _counted_eigh(monkeypatch)
+    slices = [enl_slice_linear(a, x, 0.5) for x in points]
+    cert = non_enlargeable_single_valued(a)
+    assert calls == []
+    assert all(s.carrier.dim == 40 for s in slices)
+    assert not cert.verdict and cert.witness is not None
 
 
 def test_a_linear_sum_check_decomposes_each_form_once(monkeypatch):
