@@ -92,13 +92,20 @@ class EllipsoidSlice:
             return False
         return float(d @ self.form @ d) <= self.level + tol
 
+    def _carrier_eig(self):
+        """Eigenpairs of the form on the carrier basis b.  The product
+        b' form b is made symmetric first: a near-skew map's form pinv(A_+)
+        has entries near 1/lambda_min(A_+), so rounding alone would fail
+        sym_eig's absolute symmetry check."""
+        b = self.carrier.basis
+        m = b.T @ self.form @ b
+        return sym_eig(0.5 * (m + m.T))
+
     def semiaxes(self) -> np.ndarray:
         """Semiaxis lengths of the ellipsoid inside its carrier."""
         if self.carrier.dim == 0:
             return np.zeros(0)
-        b = self.carrier.basis
-        w, _ = sym_eig(b.T @ self.form @ b)
-        return np.sqrt(self.level / w)
+        return np.sqrt(self.level / self._carrier_eig()[0])
 
     def ball_radius(self) -> float:
         """Radius when the slice is a ball of its carrier (max semiaxis;
@@ -112,7 +119,7 @@ class EllipsoidSlice:
         if d == 0 or self.level <= 0.0:
             return [self.center.copy()]
         b = self.carrier.basis
-        w, q = sym_eig(b.T @ self.form @ b)
+        w, q = self._carrier_eig()
         scale = q * np.sqrt(self.level / w)
         if d == 1:
             units = [np.array([1.0]), np.array([-1.0])]

@@ -36,7 +36,8 @@ A with N_C reads its minimiser off the multiplier of the cone-sum QP above,
 whose Fenchel dual it is; two linear pieces meet in a linear solve whose
 point-independent factors (:class:`CarrierPair`) the first slot's evaluator
 keeps per second-slot evaluator, as A's carrier keeps its QP per set, so
-that each point costs matrix-vector products; the pairs left, N_C with N_C
+that each point costs matrix-vector products and many points, as rows,
+matrix products; the pairs left, N_C with N_C
 and the p = 1 norm subdifferential with any of the other kinds or itself,
 run Douglas-Rachford.
 """
@@ -571,7 +572,8 @@ class CarrierPair:
     E v = d with E = [-N1'U1'; N2'U2'] (N spans ker W).  The SVD of E, the
     basis Z of ker E, the products U P and the pseudoinverse of the reduced
     Hessian Z'(H1 + H2)Z, H = U P U'/2, do not depend on (x, y), so
-    :meth:`solve` is matrix-vector products."""
+    :meth:`solve` is matrix-vector products at one point, or matrix
+    products over the rows of (m, n) arrays of points."""
 
     cq1: CarrierQuadratic
     cq2: CarrierQuadratic
@@ -603,28 +605,34 @@ class CarrierPair:
                    eig_pinv(lam, q, rank_cutoff(lam)))
 
     def _grad(self, a1, a2, v):
-        """Gradient of phi at v: -U1 P1 c1 / 2 + U2 P2 c2 / 2."""
-        return (-0.5 * (self.up1 @ (a1 - self.cq1.u.T @ v))
-                + 0.5 * (self.up2 @ (a2 + self.cq2.u.T @ v)))
+        """Gradient rows of phi at the rows of v: -U1 P1 c1 / 2 + U2 P2 c2 / 2."""
+        return (-0.5 * ((a1 - v @ self.cq1.u) @ self.up1.T)
+                + 0.5 * ((a2 + v @ self.cq2.u) @ self.up2.T))
 
     def solve(self, x, y):
-        """(v*, residual) for the point (x, y), the residual the norm of the
-        reduced gradient at v*; None when the carriers are incompatible, so
-        that the inf-convolution is +inf."""
+        """(v*, residual, ok) at one point, x and y of shape (n,), or at the
+        rows of (m, n) arrays: the minimiser, the norm of the reduced
+        gradient there, and whether the carriers are compatible (where they
+        are not, the inf-convolution is +inf and v* means nothing)."""
         cq1, cq2 = self.cq1, self.cq2
-        a1 = cq1.v.T @ x + cq1.u.T @ y
-        a2 = cq2.v.T @ x
-        d = np.concatenate([-(cq1.null.T @ a1), -(cq2.null.T @ a2)])
+        a1 = x @ cq1.v + y @ cq1.u
+        a2 = x @ cq2.v
+        d = np.concatenate([-(a1 @ cq1.null), -(a2 @ cq2.null)], axis=-1)
         rank = self.sing.shape[0]
-        dl = self.left.T @ d
-        if float(np.linalg.norm(dl[rank:])) > CARRIER_TOL * (1.0 + np.linalg.norm(d)):
-            return None
-        v0 = self.rows @ (dl[:rank] / self.sing)
+        dl = d @ self.left
+        off = _norms(dl[..., rank:]) > CARRIER_TOL * (1.0 + _norms(d))
+        v0 = (dl[..., :rank] / self.sing) @ self.rows.T
         if self.z.shape[1] == 0:
-            return v0, 0.0
-        gr = self.z.T @ self._grad(a1, a2, v0)
-        vstar = v0 + self.z @ (-self.hr_pinv @ gr)
-        return vstar, float(np.linalg.norm(self.z.T @ self._grad(a1, a2, vstar)))
+            return v0, np.zeros(off.shape), ~off
+        gr = self._grad(a1, a2, v0) @ self.z
+        vstar = v0 + (-(gr @ self.hr_pinv.T)) @ self.z.T
+        return vstar, _norms(self._grad(a1, a2, vstar) @ self.z), ~off
+
+
+def _norms(a):
+    """Euclidean norms of the rows of a (of a vector: its norm), each
+    rounded as np.linalg.norm rounds one vector."""
+    return np.sqrt(np.vecdot(a, a))
 
 
 def _douglas_rachford(pf, pg, y):
@@ -685,10 +693,11 @@ def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResul
     Two quadratic pieces meet in an exact linear solve on the intersection
     of their carriers, :class:`CarrierPair`, factored on the first call for
     the pair (f1, f2) and kept on f1, so that a point costs matrix-vector
-    products.  The pairs left (N_C with N_C, and the p = 1 norm
-    subdifferential with a linear operator, N_C or itself) run
-    Douglas-Rachford with exact proxes (deterministic start at v = y/2).
-    A +inf value (incompatible carriers, x outside an indicator) is
+    products (a linear + linear sum check solves all its points in one
+    :meth:`CarrierPair.solve` over their rows).  The pairs left (N_C with
+    N_C, and the p = 1 norm subdifferential with a linear operator, N_C or
+    itself) run Douglas-Rachford with exact proxes (deterministic start at
+    v = y/2).  A +inf value (incompatible carriers, x outside an indicator) is
     reported with no witness; failure to converge raises
     :class:`SolverFailureError` instead of being passed off as infinite.
     """
@@ -699,10 +708,10 @@ def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResul
     if {f1.kind, f2.kind} == {"quadratic", "indicator_support"}:
         return _cone_sum_dual(f1, f2, x, y)
     if f1.kind == f2.kind == "quadratic":
-        out = f1.carrier_pair(f2).solve(x, y)
-        if out is None:
+        vstar, resid, ok = f1.carrier_pair(f2).solve(x, y)
+        if not ok:
             return InfConvResult(math.inf, None, 0.0)
-        vstar, resid = out
+        resid = float(resid)
     else:
         c1, p1 = _second_slot_piece(f1, x, y, first_slot=True)
         c2, p2 = _second_slot_piece(f2, x, y, first_slot=False)

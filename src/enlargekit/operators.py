@@ -503,7 +503,12 @@ class CarrierQuadratic:
     carrier test is ||null' c|| ~ 0).  For a map (U = I, V = A) W is the
     symmetric part of A, so its enlargement slices and skew witness read
     these too.  ``cone_qps`` keeps the cone-sum QP of the operator plus
-    N_C per set, or why there is none."""
+    N_C per set, or why there is none.
+
+    :meth:`c_of` and :meth:`evaluate` take one point, x and u of shape
+    (n,), or m points as the rows of (m, n) arrays, through the same
+    row-vector expressions; one point gives the matrix-vector products'
+    own rounding."""
 
     u: np.ndarray       # (n, k)
     v: np.ndarray       # (n, k)
@@ -526,19 +531,21 @@ class CarrierQuadratic:
                    ran=q[:, lam > cut], null=q[:, lam <= cut])
 
     def c_of(self, x, u) -> np.ndarray:
-        return self.v.T @ x + self.u.T @ u
+        return x @ self.v + u @ self.u
 
-    def on_carrier(self, c, tol=CARRIER_TOL) -> bool:
-        if self.null.shape[1] == 0:
-            return True
-        resid = float(np.linalg.norm(self.null.T @ c))
-        return resid <= tol * (1.0 + float(np.linalg.norm(c)))
-
-    def evaluate(self, x, u, tol=CARRIER_TOL) -> float:
+    def evaluate(self, x, u, tol=CARRIER_TOL):
+        """F at (x, u): a float for one point, an (m,) array for rows; +inf
+        where ||null' c|| exceeds tol (1 + ||c||)."""
         c = self.c_of(x, u)
-        if not self.on_carrier(c, tol):
-            return math.inf
-        return 0.25 * float(c @ self.p @ c)
+        value = 0.25 * np.vecdot(c @ self.p, c)
+        if self.null.shape[1]:
+            r = c @ self.null
+            off = np.sqrt(np.vecdot(r, r)) > tol * (1.0 + np.sqrt(np.vecdot(c, c)))
+            if c.ndim > 1:
+                return np.where(off, math.inf, value)
+            if off:  # one point: a branch costs less than np.where
+                return math.inf
+        return float(value) if c.ndim == 1 else value
 
 
 class _Linear(_Descriptor):

@@ -195,6 +195,18 @@ def test_enlarge_slice_of_a_rounding_negative_map(tmp_path):
     assert res["semiaxes"] == pytest.approx([math.sqrt(0.2)], abs=1e-12)
 
 
+def test_enlarge_slice_of_a_near_skew_map(tmp_path):
+    # skew + 1e-6 G G' (seed 0): its form pinv(A_+) has entries near 1e7,
+    # so b' form b is asymmetric from rounding alone
+    rng = np.random.default_rng(0)
+    k, g = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    a = 0.5 * (k - k.T) + 1e-6 * (g @ g.T)
+    spec = write_spec(tmp_path, "near_skew.json", {
+        "space_dim": 3, "operator": {"kind": "linear_map", "matrix": a.tolist()}})
+    res = run_json("enlarge", spec, "--eps", "0.5", "--slice-at", "1,1,1")["results"]
+    assert res["carrier_dim"] == 3 and len(res["semiaxes"]) == 3
+
+
 def test_enlarge_norm_subdiff_boundary_point(specs):
     doc = run_json("enlarge", specs["norm1"], "--eps", "1",
                    "--point", "1,0,0,1")

@@ -118,6 +118,25 @@ def test_slice_rank_deficient_carrier():
     assert not s.contains([1.0, 0.1])  # off the carrier
 
 
+def _near_skew(seed):
+    """Skew plus 1e-6 G G' on R^3: monotone, with A_+ near 1e-7 at its least."""
+    rng = np.random.default_rng(seed)
+    k, g = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    return LinearMapOp(0.5 * (k - k.T) + 1e-6 * (g @ g.T))
+
+
+def test_slices_of_near_skew_maps_have_their_semiaxes():
+    # pinv(A_+) has entries near 1e7, so rounding alone leaves b' form b
+    # asymmetric by far more than sym_eig's absolute SYM_TOL
+    for seed in range(50):
+        a = _near_skew(seed)
+        s = enl_slice_linear(a, np.ones(3), 0.5)
+        kept = a.carrier.lam[: a.carrier.ran.shape[1]]
+        want = np.sqrt(4.0 * 0.5 * kept)
+        np.testing.assert_allclose(np.sort(s.semiaxes()), np.sort(want), rtol=1e-9, atol=0)
+        assert len(s.boundary_points(num=8, seed=0)) == 8
+
+
 def test_rounding_negative_symmetric_part_slices_on_its_carrier():
     # -5e-11 is within the monotonicity slack and below the rank cutoff:
     # validate calls the map maximal monotone, and both slice forms read

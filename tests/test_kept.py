@@ -1,7 +1,8 @@
 """What a descriptor keeps after first use: one eigendecomposition of the
 graph form serves ``validate``, the Fitzpatrick carrier, a map's
 enlargement slices and its skew witness, repeated
-verdicts on one operator decompose nothing again, and nothing kept refers
+verdicts on one operator decompose nothing again, a linear sum check
+solves all its points at once, and nothing kept refers
 back to its descriptor, so every descriptor is freed by reference counting
 alone.  Concurrent first uses take no lock and agree with a serial run."""
 
@@ -20,7 +21,7 @@ from enlargekit.certificates import (
     sum_fitz_exactness,
 )
 from enlargekit.enlargement import enl_member, enl_slice_linear
-from enlargekit.fitzpatrick import fitz_bruteforce, fitz_evaluator
+from enlargekit.fitzpatrick import CarrierPair, fitz_bruteforce, fitz_evaluator
 from enlargekit.operators import Box, LinearMapOp, NormalConeOp, SumOp, TranslatedOp
 
 
@@ -77,6 +78,21 @@ def test_a_linear_sum_check_decomposes_each_form_once(monkeypatch):
     assert len(calls) <= 2
     assert first.max_gap <= 1e-9 and again.max_gap == first.max_gap
     assert first.maximality is True
+
+
+def test_a_linear_sum_check_solves_all_its_points_at_once(monkeypatch):
+    rng = np.random.default_rng(6)
+    a, b = random_monotone_matrix(40, rng), _skew(rng, 40)
+    solves, lstsqs = [], []
+    real_solve, real_lstsq = CarrierPair.solve, np.linalg.lstsq
+    monkeypatch.setattr(CarrierPair, "solve", lambda self, x, y: solves.append(x.shape)
+                        or real_solve(self, x, y))
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: lstsqs.append(1)
+                        or real_lstsq(*args, **kwargs))
+    rep = sum_fitz_exactness(a, b, n_points=100, seed=0)
+    assert rep.points_tested == 100 and rep.max_gap <= 1e-6
+    assert solves == [(100, 40)]
+    assert len(lstsqs) <= 1
 
 
 @pytest.mark.parametrize("kind", ["box", "skew"])

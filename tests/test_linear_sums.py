@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from enlargekit import certificates
 from enlargekit import fitzpatrick as fz
 from enlargekit import operators as ops
 from enlargekit.certificates import random_monotone_matrix, sum_fitz_exactness
@@ -195,3 +196,134 @@ def test_a_relation_plus_a_skew_relation_has_no_rounding_negative_carrier(seed):
     a, b = _relation(rng, 20, 10), _relation(rng, 20, 10, skew=True)
     rep = sum_fitz_exactness(a, b, n_points=12, seed=0)
     assert rep.max_gap <= 1e-9
+
+
+# --- the batched sum check against the per-point loop it replaced -----------
+
+def _per_point_sum_points(rel, n_points, seed):
+    """The test points one at a time, with one least-squares solve per
+    range-compatible perturbation."""
+    rng = np.random.default_rng(seed)
+    n = rel.dim
+    u, v = rel.u_block, rel.v_block
+    w = 0.5 * (u.T @ v + v.T @ u)
+    pts = []
+    while len(pts) < n_points:
+        t = rng.normal(size=rel.graph.dim)
+        z, zs = u @ t, v @ t
+        kind = len(pts) % 3
+        if kind == 0:
+            pts.append((z, zs))
+        elif kind == 1:
+            target = w @ rng.normal(size=w.shape[0])
+            d, *_ = np.linalg.lstsq(u.T, target, rcond=None)
+            if np.linalg.norm(u.T @ d - target) < 1e-9 * (1 + np.linalg.norm(target)):
+                pts.append((z, zs + d))
+            else:
+                pts.append((z, zs))
+        else:
+            pts.append((rng.normal(size=n) * 2, rng.normal(size=n) * 2))
+    return pts
+
+
+def _per_point_sum_check(a, b, n_points, seed):
+    """(max_gap, witnesses, points, scale): the scalar inf-convolution and
+    the sum evaluator at each point in turn, stopping at the first point
+    where exactly one side is +inf; ``scale`` is the largest |F| compared."""
+    fa, fb = fitz_evaluator(a), fitz_evaluator(b)
+    sum_op = SumOp((a, b))
+    lhs_ev = fitz_evaluator(sum_op)
+    points = _per_point_sum_points(sum_op.relation, n_points, seed)
+    max_gap, witnesses, scale = 0.0, [], 0.0
+    for idx, (z, zs) in enumerate(points):
+        rhs = partial_inf_conv(fa, fb, z, zs)
+        lhs = lhs_ev.evaluate(z, zs)
+        if math.isinf(rhs.value) and math.isinf(lhs):
+            continue
+        if math.isinf(rhs.value) != math.isinf(lhs):
+            max_gap = math.inf
+            break
+        max_gap = max(max_gap, abs(lhs - rhs.value))
+        scale = max(scale, abs(lhs))
+        witnesses.append((idx, rhs.witness, rhs.inner_residual))
+    return max_gap, witnesses, points, scale
+
+
+def _reduced_condition(a, b):
+    """Condition number of the pair's reduced Hessian on its range (1 when
+    the carriers fix v*): how far the minimiser moves with rounding."""
+    lam = np.linalg.eigvalsh(fitz_evaluator(a).carrier_pair(fitz_evaluator(b)).hr_pinv)
+    lam = lam[lam > 1e-12 * lam.max(initial=0.0)]
+    return float(lam.max() / lam.min()) if lam.size else 1.0
+
+
+def _batched_cases():
+    rng = np.random.default_rng(17)
+    out = []
+    for n in (2, 5, 40):
+        k = rng.normal(size=(n, n))
+        skew = LinearMapOp(0.5 * (k - k.T))
+        full = random_monotone_matrix(n, rng)
+        deficient = random_monotone_matrix(n, rng, rank_deficient=True)
+        half = max(1, n // 2)
+        out += [(f"maps-{n}", full, skew), (f"maps-deficient-{n}", deficient, skew),
+                (f"relations-{n}", _relation(rng, n, n), _relation(rng, n, n, skew=True)),
+                # proper domains: random points are off both carriers
+                (f"relations-proper-{n}", _relation(rng, n, half),
+                 _relation(rng, n, n - half, skew=True)),
+                (f"map-relation-{n}", deficient, _relation(rng, n, half))]
+    return out
+
+
+_BATCHED = _batched_cases()
+
+
+@pytest.mark.parametrize("a, b", [case[1:] for case in _BATCHED],
+                         ids=[case[0] for case in _BATCHED])
+def test_the_batched_sum_check_matches_the_per_point_loop(a, b):
+    # rows go through matrix products where the loop ran matrix-vector
+    # ones, so the two round differently: the gap, a difference of values
+    # of size |F|, agrees to 1e-12 of that size, and v* to 1e-12 times the
+    # condition of the reduced problem that fixes it
+    rep = sum_fitz_exactness(a, b, n_points=30, seed=5)
+    gap, witnesses, points, scale = _per_point_sum_check(a, b, 30, 5)
+    got = certificates._sum_points(rep.sum_op, 30, 5)
+    assert got.shape == (30, 2, a.dim) and rep.points_tested == len(points) == 30
+    for (z, zs), (rz, rzs) in zip(got, points):
+        assert np.allclose(z, rz, rtol=1e-12, atol=1e-12)
+        assert np.allclose(zs, rzs, rtol=1e-12, atol=1e-12)
+    if math.isinf(gap):
+        assert rep.max_gap == gap
+    else:
+        assert abs(rep.max_gap - gap) <= 1e-12 * (1.0 + scale)
+    assert [w[0] for w in rep.exactness_witnesses] == [w[0] for w in witnesses]
+    rtol = 1e-12 * _reduced_condition(a, b)
+    for (_, v, _), (_, rv, _) in zip(rep.exactness_witnesses, witnesses):
+        assert np.linalg.norm(v - rv) <= rtol * (1.0 + np.linalg.norm(rv))
+
+
+def test_a_one_sided_infinity_ends_the_batched_check(monkeypatch):
+    # the first point where exactly one side is +inf sets the gap to +inf,
+    # and the witnesses stop before it
+    real = fz.CarrierPair.solve
+
+    def incompatible_at_4(self, x, y):
+        vstar, resid, ok = real(self, x, y)
+        ok = np.array(ok)
+        ok[4] = False
+        return vstar, resid, ok
+
+    monkeypatch.setattr(fz.CarrierPair, "solve", incompatible_at_4)
+    rng = np.random.default_rng(8)
+    k = rng.normal(size=(5, 5))
+    rep = sum_fitz_exactness(random_monotone_matrix(5, rng), LinearMapOp(0.5 * (k - k.T)),
+                             n_points=12, seed=1)
+    assert rep.max_gap == math.inf
+    assert [w[0] for w in rep.exactness_witnesses] == [0, 1, 2, 3]
+
+
+def test_the_batched_cases_include_points_infinite_on_both_sides():
+    reports = [sum_fitz_exactness(a, b, n_points=30, seed=5) for _, a, b in _BATCHED]
+    passed_over = [len(rep.exactness_witnesses) < rep.points_tested for rep in reports]
+    assert any(passed_over) and not all(passed_over)
+    assert all(rep.max_gap <= 1e-6 for rep in reports)
