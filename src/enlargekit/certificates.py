@@ -275,7 +275,7 @@ def sum_maximality(a, b) -> MaximalityCertificate:
     dom A = {0})."""
     sum_op = ops.SumOp((a, b))
     if sum_op.relation is None:
-        ops.require_monotone(split_linear_cone(a, b)[0])
+        ops.require_monotone(split_linear_cone(sum_op)[0])
     rep = ops.validate(sum_op)
     return MaximalityCertificate(rep.maximal, rep.detail)
 
@@ -368,11 +368,11 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
     rows (:func:`_linear_sum_gaps`).  The right side of a cone sum
     is that QP's dual, built from the summands (:func:`partial_inf_conv`) on
     the QP that A keeps, and the left side is read off the same solve
-    (``sum_value``): one QP solve per point.  Where the QP does not exist,
-    the right side is +inf at every point (dom A misses C, or a ball touched
-    by dom A at a point the samples miss), and so is the left side; A not
-    maximal, or a sample at the touching point, raises
-    UnsupportedOperatorError.  A point where exactly one side is +inf sets
+    (``sum_value``, set on every result): one QP solve per point.  A QP
+    the set refused is kept all the same, and both sides are +inf at every
+    point off dom A (dom A misses C, or a ball touched by dom A at a point
+    the samples miss); A not maximal, or a sample at the touching point,
+    raises UnsupportedOperatorError.  A point where exactly one side is +inf sets
     ``max_gap`` to +inf.  Cone-sum points where both sides are +inf count
     as ``skipped_points``.  A violated hypothesis flags the report as
     advisory but the check still runs.
@@ -388,7 +388,7 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
         mode = "linear+linear"
         notes = "domain-difference closedness holds automatically"
     else:
-        lin, cone = split_linear_cone(a, b)
+        lin, cone = split_linear_cone(sum_op)
         hypothesis_ok = interior_domain_check(lin, cone.set)
         mode = "linear+normal-cone"
         notes = f"interior-domain check: {hypothesis_ok}"
@@ -397,13 +397,10 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
     if both_linear:
         max_gap, witnesses = _linear_sum_gaps(fa, fb, sum_op, points)
     else:
-        max_gap, witnesses, lhs_ev = 0.0, [], None
+        max_gap, witnesses = 0.0, []
         for idx, (z, zs) in enumerate(points):
             rhs = partial_inf_conv(fa, fb, z, zs)
             lhs = rhs.sum_value
-            if lhs is None:  # a right side with no QP value
-                lhs_ev = lhs_ev or fitz_evaluator(sum_op)
-                lhs = lhs_ev.evaluate(z, zs)
             if math.isinf(rhs.value) and math.isinf(lhs):
                 skipped += 1
                 continue

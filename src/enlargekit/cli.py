@@ -12,7 +12,9 @@ its sum relation, itself a linear relation, by every command.
 
 Every command prints a single versioned JSON envelope to stdout; CSV side
 outputs go to user-named paths only.  Exit codes: 0 ok, 1 input error,
-2 hypothesis/precondition failure, 3 numerical anomaly.  Output is
+2 hypothesis/precondition failure, 3 numerical anomaly.  :func:`main`
+alone maps every exception to its exit code, with one ``error:`` line on
+stderr and nothing on stdout.  Output is
 byte-identical for identical (spec, flags, seed); ENLARGEKIT_SEED
 overrides the default seed 0 (an explicit --seed wins).
 """
@@ -33,9 +35,7 @@ from . import certificates as cert
 from . import enlargement as enl
 from . import operators as ops
 from .fitzpatrick import fitz_bruteforce, fitz_closed_form, pairing
-from .linalg import DimensionMismatchError
 
-MEMBERSHIP_TOL = 1e-9
 SUMCHECK_TOL = 1e-6
 BRUTEFORCE_GAP_ADVISORY = 1e-3
 
@@ -96,8 +96,7 @@ def load_spec(path):
         doc = json.loads(raw.decode("utf-8"))
         n = int(doc["space_dim"])
         op = _parse_operator(doc["operator"], n)
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError,
-            ops.MalformedDescriptorError, DimensionMismatchError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # JSON and descriptor errors too
         raise InputError(f"cannot load operator spec {path}: {exc}") from exc
     return op, raw
 
@@ -183,7 +182,7 @@ def _classification(op):
 def cmd_classify(args):
     op, raw = load_spec(args.spec)
     results = _classification(op)
-    tol = {"membership": MEMBERSHIP_TOL, "eigenvalue_slack": ops.MONOTONE_TOL}
+    tol = {"membership": enl.SLACK_TOL, "eigenvalue_slack": ops.MONOTONE_TOL}
     emit("classify", _digest(raw), args.seed, tol, results)
     return EXIT_OK if results["monotone"] else EXIT_PRECONDITION
 
@@ -200,11 +199,7 @@ def cmd_fitz(args):
     count, radius = int(args.bruteforce[0]), float(args.bruteforce[1])
     if count <= 0 or radius <= 0:
         raise InputError("--bruteforce needs positive count and radius")
-    try:
-        closed = fitz_closed_form(op, x, xs)
-    except ops.NotMonotoneError as exc:
-        print(f"error: operator not monotone: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    closed = fitz_closed_form(op, x, xs)
     brute = fitz_bruteforce(op, x, xs, count=count, radius=radius, seed=args.seed)
     anomaly = brute.diverging
     gap = None
@@ -222,7 +217,7 @@ def cmd_fitz(args):
         "radius_trend": [{"radius": r, "sup": s} for r, s in brute.trend],
         "anomaly": anomaly,
     }
-    tol = {"membership": MEMBERSHIP_TOL,
+    tol = {"membership": enl.SLACK_TOL,
            "bruteforce_gap_advisory": BRUTEFORCE_GAP_ADVISORY}
     emit("fitz", _digest(raw), args.seed, tol, results)
     return EXIT_ANOMALY if anomaly else EXIT_OK
@@ -260,16 +255,12 @@ def cmd_enlarge(args):
         raise InputError("eps must be nonnegative")
     if (args.point is None) == (args.slice_at is None):
         raise InputError("exactly one of --point and --slice-at is required")
-    tol = {"membership": MEMBERSHIP_TOL,
+    tol = {"membership": enl.SLACK_TOL,
            "boundary_probe": 1e-6}
     if args.point is not None:
         point = _parse_floats(args.point, 2 * n, "--point")
         x, xs = point[:n], point[n:]
-        try:
-            v = enl.enl_member(op, x, xs, args.eps, seed=args.seed)
-        except (ops.NotMonotoneError, ops.NotMaximalError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
+        v = enl.enl_member(op, x, xs, args.eps, seed=args.seed)
         results = {
             "mode": "membership",
             "eps": args.eps,
@@ -283,12 +274,7 @@ def cmd_enlarge(args):
         emit("enlarge", _digest(raw), args.seed, tol, results)
         return EXIT_OK
     x = _parse_floats(args.slice_at, n, "--slice-at")
-    try:
-        lin = _slice_operator(op)
-        ell = enl.enl_slice_linear(lin, x, args.eps)
-    except ops.NotMonotoneError as exc:
-        print(f"error: operator not monotone: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    ell = enl.enl_slice_linear(_slice_operator(op), x, args.eps)
     results = {
         "mode": "slice",
         "eps": args.eps,
@@ -318,12 +304,7 @@ def cmd_sumcheck(args):
     op_b, raw_b = load_spec(args.spec_b)
     if op_a.dim != op_b.dim:
         raise InputError("operand spaces differ")
-    try:
-        report = cert.sum_fitz_exactness(op_a, op_b, n_points=args.points,
-                                         seed=args.seed)
-    except (ops.NotMonotoneError, ops.NotMaximalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    report = cert.sum_fitz_exactness(op_a, op_b, n_points=args.points, seed=args.seed)
     if report.skipped_points == report.points_tested:
         print(f"error: no sampled point had a finite value ({report.skipped_points} "
               f"of {report.points_tested} skipped)", file=sys.stderr)
@@ -343,7 +324,7 @@ def cmd_sumcheck(args):
         "non_enlargeable": non_enl,
         "notes": report.notes,
     }
-    tol = {"membership": MEMBERSHIP_TOL, "sumcheck": args.tol,
+    tol = {"membership": enl.SLACK_TOL, "sumcheck": args.tol,
            "witness_residual": 1e-8}
     emit("sumcheck", _digest(raw_a, raw_b), args.seed, tol, results)
     if report.max_gap > args.tol:
@@ -414,15 +395,16 @@ def main(argv=None):
         if args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ops.MalformedDescriptorError, DimensionMismatchError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ops.UnsupportedOperatorError as exc:  # no implementation for this operator
+    except ops.NotMonotoneError as exc:
+        print(f"error: operator not monotone: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except (ops.NotMaximalError, ops.UnsupportedOperatorError) as exc:
+        # a precondition fails, or no implementation covers the operator
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except ValueError as exc:  # InputError and malformed descriptors
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except RuntimeError as exc:
         # solver failures and results contradicting a theorem
         print(f"error: {exc}", file=sys.stderr)

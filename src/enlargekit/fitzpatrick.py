@@ -79,31 +79,44 @@ class ConeSumQP:
     D = ran U has the orthonormal basis Q, and A maps Q s to M s + D-perp
     with M = V (Q'U)^+.  For z in C cap D, F(z, z*) is the max over
     {s : Q s in C} of <b, s> - <s, H s>, b = M'z + Q'z*, H = (Q'M + M'Q)/2,
-    which ``solve`` (the set's ``subspace_qp``) finds."""
+    which ``solve`` (the set's ``subspace_qp``) finds.  When the set
+    refuses the QP (C cap D empty, or a ball that D != {0} only touches),
+    the record is kept all the same: ``solve`` is None, ``refusal`` the
+    set's message, and :meth:`off_domain` still answers on Q."""
 
     q: np.ndarray        # (n, k)
     m: np.ndarray        # (n, k)
     cset: object
     solve: object
+    refusal: str = ""
 
     @classmethod
     def build(cls, lin, c) -> "ConeSumQP":
-        # +inf off C cap D needs A(0) = D-perp (A maximal), and the set's
-        # subspace_qp refuses C cap D empty or a ball that D != {0} only
-        # touches (the sum is then not maximal)
+        # +inf off C cap D needs A(0) = D-perp (A maximal)
         if not ops.require_monotone(lin).maximal:
             raise ops.UnsupportedOperatorError("cone-sum closed form needs a maximal A")
         q = ops.dom_subspace(lin).basis
         m = lin.v_block @ np.linalg.pinv(q.T @ lin.u_block)
-        return cls(q, m, c, c.subspace_qp(q, 0.5 * (q.T @ m + m.T @ q)))
+        try:
+            return cls(q, m, c, c.subspace_qp(q, 0.5 * (q.T @ m + m.T @ q)))
+        except ops.UnsupportedOperatorError as exc:
+            return cls(q, m, c, None, str(exc))
+
+    def supported(self) -> "ConeSumQP":
+        """This QP; raises UnsupportedOperatorError, with the set's message,
+        when the set refused it."""
+        if self.solve is None:
+            raise ops.UnsupportedOperatorError(self.refusal)
+        return self
 
     def maximiser(self, x, xs):
         """(value, pair, normal): the graph pair (Q s, M s) of A with Q s in
         C that maximises <x, a*> + <a, x*> - <a, a*>, with the zero normal a
         pair of A + N_C, its value, and the QP's multiplier, a normal v of C
         at Q s with Q'v = b - 2 H s; raises SolverFailureError when the
-        QP's duality gap exceeds ``QP_GAP_TOL``."""
-        s, gap, normal = self.solve(self.m.T @ x + self.q.T @ xs)
+        QP's duality gap exceeds ``QP_GAP_TOL``, and UnsupportedOperatorError
+        for a refused QP."""
+        s, gap, normal = self.supported().solve(self.m.T @ x + self.q.T @ xs)
         pair = (self.q @ s, self.m @ s)
         value = _objective(x, xs)(*pair)
         if gap > QP_GAP_TOL * (1.0 + abs(value)):
@@ -180,18 +193,13 @@ class FitzEvaluator:
     def cone_qp(self, c) -> ConeSumQP:
         """The :class:`ConeSumQP` of this evaluator's linear operator plus
         N_C, built on the first call for the set ``c`` and kept on the
-        carrier for later ones; raises UnsupportedOperatorError on every
-        call when it does not exist."""
+        carrier for later ones, a QP the set refused included (a kept
+        record whose :meth:`ConeSumQP.maximiser` raises); raises
+        UnsupportedOperatorError when the operator is not maximal."""
         qps = self.data.cone_qps
         if c not in qps:
-            try:
-                qps[c] = ConeSumQP.build(ops.linear_form(self.operator), c)
-            except ops.UnsupportedOperatorError as exc:
-                qps[c] = str(exc)
-        out = qps[c]
-        if isinstance(out, str):
-            raise ops.UnsupportedOperatorError(out)
-        return out
+            qps[c] = ConeSumQP.build(ops.linear_form(self.operator), c)
+        return qps[c]
 
     def carrier_pair(self, other) -> "CarrierPair":
         """The :class:`CarrierPair` of this quadratic evaluator in the first
@@ -220,8 +228,8 @@ def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
         raise ops.UnsupportedOperatorError(
             "no closed form for p > 1 norm subdifferentials; use fitz_bruteforce")
     if isinstance(op, ops.SumOp):
-        lin, cone = ops.split_linear_cone(*op.terms)
-        return FitzEvaluator(op, "cone_sum", fitz_evaluator(lin).cone_qp(cone.set))
+        lin, cone = ops.split_linear_cone(op)
+        return FitzEvaluator(op, "cone_sum", fitz_evaluator(lin).cone_qp(cone.set).supported())
     raise ops.UnsupportedOperatorError(f"no evaluator for {type(op).__name__}")
 
 
@@ -387,8 +395,6 @@ _DIV_FLOOR = 1e-6
 
 def _diverging(trend) -> bool:
     s = [max(v, _DIV_FLOOR) for _, v in trend]
-    if len(s) < 3:
-        return False
     if s[2] > _DIV_FACTOR_TOTAL * s[0]:
         return True
     return s[1] >= _DIV_FACTOR_STEP * s[0] and s[2] >= _DIV_FACTOR_STEP * s[1]
@@ -452,10 +458,10 @@ class InfConvResult:
     ``inner_residual`` is the residual of the inner minimisation: for a
     linear + normal-cone pair the duality gap, the value less the cone-sum
     QP's value; for two quadratic pieces the reduced gradient at v; for
-    Douglas-Rachford its last step.  ``sum_value`` is, for a linear +
-    normal-cone pair, F of the sum A + N_C at the same point, the value of
-    the QP that gave the minimiser (+inf off C cap dom A); None for the
-    other pairs."""
+    Douglas-Rachford its last step.  ``sum_value`` is set on every result
+    of a linear + normal-cone pair: F of the sum A + N_C at the same point,
+    the value of the QP that gave the minimiser (+inf off C cap dom A);
+    None for the other pairs."""
 
     value: float
     witness: Optional[np.ndarray]
@@ -659,15 +665,9 @@ def _cone_sum_dual(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResult:
     c, off = cone_ev.data, InfConvResult(math.inf, None, 0.0, math.inf)
     if not c.contains(x, CARRIER_TOL):
         return off
-    try:
-        qp = lin_ev.cone_qp(c)
-    except ops.UnsupportedOperatorError:
-        # a maximal A whose domain misses C or touches a ball: F_A(x, .) is
-        # +inf off dom A, since A(0) = dom A-perp
-        lin = ops.linear_form(lin_ev.operator)
-        if ops.validate(lin).maximal and not ops.dom_subspace(lin).contains_vector(x, CARRIER_TOL):
-            return off
-        raise
+    # F_A(x, .) is +inf off dom A, since A(0) = dom A-perp: a refused QP
+    # raises only at points of C cap dom A
+    qp = lin_ev.cone_qp(c)
     if qp.off_domain(x):
         return off
     primal, _, normal = qp.maximiser(x, y)
@@ -687,8 +687,9 @@ def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResul
     F_A(x, y - v*) + F_{N_C}(x, v*) from the two summands' own closed
     forms, and ``inner_residual`` is that value less the QP value, a
     duality gap that weak duality keeps >= 0.  It is +inf for x off C, and
-    for x off dom A when A is maximal; a pair with no QP (A not maximal,
-    or dom A != {0} only touching a ball) raises UnsupportedOperatorError.
+    for x off dom A when A is maximal; A not maximal, or a QP the set
+    refused (dom A != {0} only touching a ball) at a point of C cap dom A,
+    raises UnsupportedOperatorError.
 
     Two quadratic pieces meet in an exact linear solve on the intersection
     of their carriers, :class:`CarrierPair`, factored on the first call for

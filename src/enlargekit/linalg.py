@@ -105,28 +105,22 @@ def sym_eig(m, tol=SYM_TOL):
     return w[::-1].copy(), q[:, ::-1].copy()
 
 
-def rank_cutoff(eigenvalues, rank_tol=None) -> float:
-    """Eigenvalue magnitude below which the package treats a value as zero.
-
-    The default combines the relative policy with the absolute floor; an
-    explicit ``rank_tol`` is used verbatim.
-    """
+def rank_cutoff(eigenvalues) -> float:
+    """Eigenvalue magnitude below which the package treats a value as zero:
+    the relative policy with the absolute floor."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     lam_max = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    if rank_tol is None:
-        return max(EIG_RANK_RTOL * lam_max, EIG_RANK_ATOL)
-    return float(rank_tol)
+    return max(EIG_RANK_RTOL * lam_max, EIG_RANK_ATOL)
 
 
-def pseudoinverse(m, rank_tol=None) -> np.ndarray:
+def pseudoinverse(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric PSD matrix.
 
-    Eigenvalues below the cutoff (``rank_tol``, default
-    ``EIG_RANK_RTOL * lambda_max``) are treated as zero; an eigenvalue below
-    ``-cutoff`` raises :class:`NotPSDError`.
+    Eigenvalues below the cutoff (:func:`rank_cutoff`) are treated as zero;
+    an eigenvalue below ``-cutoff`` raises :class:`NotPSDError`.
     """
     w, q = sym_eig(m)
-    cut = rank_cutoff(w, rank_tol)
+    cut = rank_cutoff(w)
     if w.size and float(np.min(w)) < -cut:
         raise NotPSDError(f"eigenvalue {np.min(w):.3e} below -{cut:.3e}")
     return eig_pinv(w, q, cut)
@@ -174,10 +168,6 @@ class Subspace:
         x = as_vector(v, dim=self.ambient_dim)
         resid = float(np.linalg.norm(x - self.project(x)))
         return resid <= tol * (1.0 + float(np.linalg.norm(x)))
-
-    def coordinates(self, v) -> np.ndarray:
-        """Coefficients of the projection of ``v`` in this basis."""
-        return self.basis.T @ as_vector(v, dim=self.ambient_dim)
 
 
 def full_space(k) -> Subspace:

@@ -503,7 +503,7 @@ class CarrierQuadratic:
     carrier test is ||null' c|| ~ 0).  For a map (U = I, V = A) W is the
     symmetric part of A, so its enlargement slices and skew witness read
     these too.  ``cone_qps`` keeps the cone-sum QP of the operator plus
-    N_C per set, or why there is none.
+    N_C per set, a QP the set refused included.
 
     :meth:`c_of` and :meth:`evaluate` take one point, x and u of shape
     (n,), or m points as the rows of (m, n) arrays, through the same
@@ -945,11 +945,12 @@ def linear_form(op):
     return op if isinstance(op, _Linear) else None
 
 
-def split_linear_cone(a, b):
-    """(linear term, normal-cone term) of a linear map or relation plus a
-    normal cone, in either order; any other pair raises
-    UnsupportedOperatorError (read off :attr:`SumOp.linear_cone`)."""
-    pair = SumOp((a, b)).linear_cone
+def split_linear_cone(op: SumOp):
+    """(linear term, normal-cone term) of a sum of a linear map or relation
+    and a normal cone, in either order, read off :attr:`SumOp.linear_cone`
+    of the sum the caller holds; any other sum raises
+    UnsupportedOperatorError."""
+    pair = op.linear_cone
     if pair is None:
         raise UnsupportedOperatorError("sums are covered for linear+linear and linear+normal-cone")
     return pair

@@ -37,11 +37,10 @@ def _ref_sum_chart_max(op, x, xs):
     if op.relation is not None:
         return _ref_linear_chart_max(op.relation, x, xs)
     try:
-        lin, cone = ops.split_linear_cone(*op.terms)
-        qp = fz.ConeSumQP.build(lin, cone.set)
+        lin, cone = ops.split_linear_cone(op)
+        return fz.ConeSumQP.build(lin, cone.set).maximiser(x, xs)[1]
     except (ops.UnsupportedOperatorError, ops.NotMonotoneError):
         return None
-    return qp.maximiser(x, xs)[1]
 
 
 def _ref_chart_polish(op, x, xs):

@@ -463,3 +463,37 @@ def test_fitz_of_a_sum_it_cannot_apply_exits_2(tmp_path):
     proc = run_cli("fitz", spec, "--point", "1,0,1,0")
     assert proc.returncode == 2
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
+
+
+_NOT_MONOTONE = "error: operator not monotone: "
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["fitz", "{neg}", "--point", "0.5,0.5"], 2, _NOT_MONOTONE),
+    (["enlarge", "{neg}", "--eps", "0.5", "--point", "0.5,0.5"], 2, _NOT_MONOTONE),
+    (["enlarge", "{neg}", "--eps", "0.5", "--slice-at", "0.5"], 2, _NOT_MONOTONE),
+    (["sumcheck", "{neg}", "{id1}"], 2, _NOT_MONOTONE),
+    # a line graph in R^2: monotone, not maximal
+    (["enlarge", "{line}", "--eps", "0.5", "--point", "0,0,1,0"], 2, "error: graph form"),
+    (["sumcheck", "{boxcone}", "{ballcone}"], 2, "error: sums are covered"),
+    (["classify", "{malformed}"], 1, "error: cannot load operator spec"),
+])
+def test_main_maps_each_error_to_its_exit_code(specs, tmp_path, capsys, argv, code, prefix):
+    from enlargekit import cli
+
+    paths = dict(specs, malformed=str(tmp_path / "malformed.json"))
+    (tmp_path / "malformed.json").write_text("{not json")
+    paths["line"] = write_spec(tmp_path, "line.json", {
+        "space_dim": 2,
+        "operator": {"kind": "linear_relation", "graph_basis": [[1, 0, 1, 0]]}})
+    paths["ballcone"] = write_spec(tmp_path, "ballcone.json", {
+        "space_dim": 2,
+        "operator": {"kind": "normal_cone",
+                     "set": {"kind": "ball", "center": [0, 0], "radius": 1}}})
+    assert cli.main([a.format(**paths) for a in argv]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(prefix) and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
+    if not prefix.startswith(_NOT_MONOTONE):
+        assert "not monotone" not in out.err

@@ -283,7 +283,7 @@ def test_one_sided_infinity_is_an_infinite_gap(monkeypatch):
 
     def finite_everywhere(f1, f2, x, y):
         out = real(f1, f2, x, y)
-        return fz.InfConvResult(0.0, out.witness, 0.0) if math.isinf(out.value) else out
+        return fz.InfConvResult(0.0, out.witness, 0.0, out.sum_value) if math.isinf(out.value) else out
 
     monkeypatch.setattr(certificates, "partial_inf_conv", finite_everywhere)
     vertical = LinearRelationOp.from_graph_columns(np.array([[0.0], [1.0]]), dim=1)
@@ -399,6 +399,21 @@ def test_the_cone_sum_qp_is_built_once_per_set(monkeypatch):
     assert built == []
     sum_fitz_exactness(LinearMapOp(a.matrix), NormalConeOp(box), n_points=16, seed=3)
     assert built == [box]
+    built.clear()
+    # a QP the set refuses is a kept record too: dom = span e1 misses the
+    # ball about (0, 2), so F is +inf on the ball and the sum has no closed form
+    line = LinearRelationOp.from_graph_columns(
+        np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]).T, dim=2)
+    far = Ball([0.0, 2.0], 1.0)
+    fl, ff = fitz_evaluator(line), fitz_evaluator(NormalConeOp(far))
+    for _ in range(2):
+        for _ in range(8):
+            z = far.project(rng.normal(size=2))
+            assert math.isinf(fz.partial_inf_conv(fl, ff, z, rng.normal(size=2)).value)
+        with pytest.raises(ops.UnsupportedOperatorError, match="misses the interior of the ball"):
+            fitz_evaluator(SumOp((line, NormalConeOp(far))))
+    assert built == [far]
+    assert fl.cone_qp(far).solve is None
 
 
 def test_the_cone_sum_check_solves_the_qp_once_per_point(monkeypatch):

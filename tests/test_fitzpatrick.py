@@ -366,6 +366,55 @@ def test_infconv_upper_bounds_sum_bruteforce():
             assert brute.value <= res.value + 1e-6
 
 
+def _box_support(lo, hi, y):
+    return float(np.sum(np.maximum(hi * y, lo * y)))
+
+
+def test_infconv_of_two_box_cones_is_the_intersection_cone():
+    # N_B1 box_2 N_B2 at (x, x*) is the indicator of B1 cap B2 at x plus its
+    # support function at x* (Rockafellar 1970, Cor. 23.8.1); B1 cap B2 is
+    # again a box, [max lo, min hi].  No linear piece: Douglas-Rachford.
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3):
+        for _ in range(5):
+            lo1 = rng.uniform(-2.0, 0.0, n)
+            hi1 = lo1 + rng.uniform(0.5, 2.0, n)
+            lo2 = lo1 + rng.uniform(0.1, 0.3, n) * (hi1 - lo1)
+            hi2 = hi1 + rng.uniform(-0.3, 0.5, n) * (hi1 - lo1)
+            lo, hi = np.maximum(lo1, lo2), np.minimum(hi1, hi2)
+            f1, f2 = fitz_evaluator(NormalConeOp(Box(lo1, hi1))), \
+                fitz_evaluator(NormalConeOp(Box(lo2, hi2)))
+            for _ in range(2):
+                x, y = rng.uniform(lo, hi), 2.0 * rng.normal(size=n)
+                want = _box_support(lo, hi, y)
+                for fa, fb in ((f1, f2), (f2, f1)):
+                    res = partial_inf_conv(fa, fb, x, y)
+                    assert res.value == pytest.approx(want, rel=1e-9, abs=1e-9)
+                    assert res.inner_residual <= 1e-8
+                off = x.copy()
+                off[0] = lo1[0]  # in B1, below lo2[0]
+                assert math.isinf(partial_inf_conv(f1, f2, off, y).value)
+                assert partial_inf_conv(f2, f1, off, y).witness is None
+
+
+def test_infconv_of_an_interval_cone_and_the_p1_norm_graph():
+    # F of d|.| is |x| + indicator(|v| <= 1), so at x in [lo, hi] the
+    # inf-convolution with N_[lo, hi] is |x| plus the least support value
+    # sigma(y - v) over |v| <= 1, a convex piecewise linear function of v
+    # whose least value is at -1, 1 or its kink v = y
+    rng = np.random.default_rng(24)
+    f_abs = fitz_evaluator(NormSubdiffOp(dim=1, p=1.0))
+    for _ in range(6):
+        lo = rng.uniform(-2.0, 0.0, 1)
+        hi = lo + rng.uniform(0.5, 2.0, 1)
+        f_box = fitz_evaluator(NormalConeOp(Box(lo, hi)))
+        x, y = rng.uniform(lo, hi), 3.0 * rng.normal(size=1)
+        want = abs(float(x[0])) + min(_box_support(lo, hi, y - v)
+                                      for v in (-1.0, 1.0, float(np.clip(y[0], -1.0, 1.0))))
+        for fa, fb in ((f_box, f_abs), (f_abs, f_box)):
+            assert partial_inf_conv(fa, fb, x, y).value == pytest.approx(want, rel=1e-7, abs=1e-7)
+
+
 def _lstsq_prox(piece, w, t):
     """The KKT solve of the quadratic piece's prox, one lstsq per call."""
     n, m = w.shape[0], piece.e.shape[0]

@@ -115,4 +115,4 @@ def test_projector_coordinates_roundtrip():
     s = orthonormalize(rng.normal(size=(5, 2)))
     v = s.basis @ rng.normal(size=2)
     assert s.contains_vector(v)
-    np.testing.assert_allclose(s.basis @ s.coordinates(v), v, atol=1e-12)
+    np.testing.assert_allclose(s.project(v), v, atol=1e-12)
