@@ -306,6 +306,8 @@ def cmd_sumcheck(args):
         raise InputError("operand spaces differ")
     report = cert.sum_fitz_exactness(op_a, op_b, n_points=args.points, seed=args.seed)
     if report.skipped_points == report.points_tested:
+        if report.maximality is False:  # an empty sum graph: a precondition fails
+            raise ops.NotMaximalError(report.sum_op.validate().detail)
         print(f"error: no sampled point had a finite value ({report.skipped_points} "
               f"of {report.points_tested} skipped)", file=sys.stderr)
         return EXIT_ANOMALY

@@ -14,8 +14,11 @@ op(x) is nonempty (empty rows carry an arbitrary value); ``sample(count,
 radius, ss)`` gives the x rows and x* rows of ``count`` prefix-stable graph
 points.  Sums and translations answer through their terms' methods, and
 the public :func:`validate`, :func:`apply` and :func:`sample_graph` check
-their inputs and call them.  A set value answers ``contains(u)`` and
-``shifted(offset)``.
+their inputs and call them.  A set value is one of three kinds:
+EmptySet; BallValue (the p = 1 norm subdifferential at 0); and
+PolyhedralValue, a point plus a subspace plus a polyhedral cone, which is
+every other value.  Each answers ``contains(u)`` and ``shifted(offset)``;
+a polyhedral value holds u when u's residual is at most tol (1 + ||u||).
 
 A linear map is the relation with graph {(x, A x)}, charted by U = I and
 V = A.  Maps and relations share ``validate``; it, symmetry, skewness, the
@@ -171,8 +174,11 @@ class Ball:
         if nd > self.radius + MEMBER_TOL:
             return EmptySet()
         if nd < self.radius - MEMBER_TOL:
-            return PointValue(np.zeros(self.dim))
-        return RayValue(d / nd)
+            return _pointed(np.zeros(self.dim))
+        # the ray {s d : s >= 0}: <d, u> >= 0 and no part of u across d
+        d = d / nd
+        perp = _perp(d[:, None])
+        return _pointed(np.zeros(self.dim), np.vstack([-d, perp, -perp]))
 
     def inset_points(self, m, ss) -> np.ndarray:
         return self.center + _ball_points(m, self.dim, self.radius, ss)
@@ -255,8 +261,11 @@ class Box:
     def normal_cone_value(self, x) -> "SetValue":
         if not self.contains(x):
             return EmptySet()
+        # the sign cone: u_i >= 0 on an upper face, <= 0 on a lower one, 0 inside
         signs = self._face_signs(x)
-        return FaceConeValue(signs) if signs.any() else PointValue(np.zeros(self.dim))
+        free = np.eye(self.dim)[signs == 0]
+        rows = np.vstack([-np.diag(signs)[signs != 0], free, -free])
+        return _pointed(np.zeros(self.dim), rows if signs.any() else None)
 
     def inset_points(self, m, ss) -> np.ndarray:
         (g,) = _rngs(ss, 1)
@@ -401,7 +410,7 @@ class Polytope:
         return self.matrix.mean(axis=0)
 
     def normal_cone_value(self, x) -> "SetValue":
-        return ConeByInequalities(self.matrix - x) if self.contains(x) else EmptySet()
+        return _pointed(np.zeros(self.dim), self.matrix - x) if self.contains(x) else EmptySet()
 
     def inset_points(self, m, ss) -> np.ndarray:
         # Dirichlet(1, ..., 1) weights as normalised exponentials
@@ -598,7 +607,7 @@ class LinearMapOp(_Linear):
         return self.matrix
 
     def apply(self, x):
-        return PointValue(self.matrix @ x)
+        return _pointed(self.matrix @ x)
 
     def values_at(self, x, ss):
         return x @ self.matrix.T, np.ones(x.shape[0], dtype=bool)
@@ -655,8 +664,7 @@ class LinearRelationOp(_Linear):
         t, *_ = np.linalg.lstsq(u, x, rcond=None)
         if float(np.linalg.norm(u @ t - x)) > MEMBER_TOL * (1.0 + np.linalg.norm(x)):
             return EmptySet()
-        dirs, point = self._values_directions(), self.v_block @ t
-        return AffineSetValue(point, dirs) if dirs.dim else PointValue(point)
+        return PolyhedralValue(self.v_block @ t, self._values_directions())
 
     def values_at(self, x, ss):
         u = self.u_block
@@ -701,9 +709,9 @@ class NormSubdiffOp(_Subdifferential):
 
     def apply(self, x):
         if float(np.linalg.norm(x)) > 0.0:
-            return PointValue(self.gradient(x))
+            return _pointed(self.gradient(x))
         zero = np.zeros(self.dim)
-        return BallValue(zero, 1.0) if self.p == 1.0 else PointValue(zero)
+        return BallValue(zero, 1.0) if self.p == 1.0 else _pointed(zero)
 
     def values_at(self, x, ss):
         m, n = x.shape
@@ -1106,18 +1114,6 @@ class EmptySet:
 
 
 @dataclass(frozen=True, eq=False)
-class PointValue:
-    point: np.ndarray
-
-    def contains(self, u, tol=MEMBER_TOL) -> bool:
-        u = as_vector(u, self.point.shape[0])
-        return float(np.linalg.norm(u - self.point)) <= tol * (1.0 + np.linalg.norm(self.point))
-
-    def shifted(self, offset) -> "SetValue":
-        return PointValue(self.point + offset)
-
-
-@dataclass(frozen=True, eq=False)
 class BallValue:
     center: np.ndarray
     radius: float  # >= 0; a radius-0 value is the single point `center`
@@ -1131,144 +1127,72 @@ class BallValue:
 
 
 @dataclass(frozen=True, eq=False)
-class AffineSetValue:
+class PolyhedralValue:
+    """point + span(directions) + K, with K = {0} when ``rows`` is None (a
+    point, or an affine set) and K = {u : rows u <= 0} otherwise: a ball's
+    normal ray, a box face's sign cone, a polytope's normal cone.  Every
+    value of a linear map or relation, of N_C, and of their sums and
+    translations has this form (Rockafellar 1970, Sec. 19 and Thm 23.8).
+
+    u belongs when the residual of d, u - point less its part along the
+    directions D, is at most tol (1 + ||u||).  The residual is ||d|| with no
+    rows, max(rows d) with rows and no directions, and otherwise the least
+    squares min over s and z <= 0 of ||rows D s + z - rows d||, a bounded
+    QP.  (Moreau's test in the polar cone's multipliers has the Hessian rows
+    rows', singular when there are more rows than dimensions, where the
+    active-set solver takes rounding for a descent ray.  Dropping d's part
+    along D first keeps the QP's data, and so its stopping slack, at the
+    scale of the distance rather than of ||u - point||.)"""
+
     point: np.ndarray
     directions: Subspace
+    rows: Optional[np.ndarray] = None
 
     def contains(self, u, tol=MEMBER_TOL) -> bool:
         u = as_vector(u, self.point.shape[0])
         d = u - self.point
-        resid = float(np.linalg.norm(d - self.directions.project(d)))
+        d = d - self.directions.project(d)
+        if self.rows is None:
+            resid = float(np.linalg.norm(d))
+        elif not self.directions.dim:
+            resid = float(np.max(self.rows @ d, initial=0.0))
+        else:
+            rd, b = self.rows @ self.directions.basis, self.rows @ d
+            m, k = rd.shape
+            a = np.hstack([rd, np.eye(m)])
+            hi = np.concatenate([np.full(k, np.inf), np.zeros(m)])
+            x = bounded_qp(a.T @ a, a.T @ b, np.full(k + m, -np.inf), hi, np.zeros(k + m))[0]
+            resid = float(np.linalg.norm(a @ x - b))
         return resid <= tol * (1.0 + float(np.linalg.norm(u)))
 
     def shifted(self, offset) -> "SetValue":
-        return AffineSetValue(self.point + offset, self.directions)
+        return PolyhedralValue(self.point + offset, self.directions, self.rows)
 
 
-class _Cone:
-    """Cone-type values: a shift wraps them in a TranslatedValue."""
-
-    def shifted(self, offset) -> "SetValue":
-        return TranslatedValue(self, offset)
+def _pointed(point, rows=None) -> PolyhedralValue:
+    """point + {u : rows u <= 0}, or the point alone when rows is None."""
+    return PolyhedralValue(point, zero_space(point.shape[0]), rows)
 
 
-@dataclass(frozen=True, eq=False)
-class RayValue(_Cone):
-    """{s * direction : s >= 0} with a unit direction."""
-
-    direction: np.ndarray
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The cone as {u : rows @ u <= 0}."""
-        perp = np.eye(self.direction.shape[0]) - np.outer(self.direction, self.direction)
-        return np.vstack([-self.direction, perp, -perp])
-
-    def contains(self, u, tol=MEMBER_TOL) -> bool:
-        u = as_vector(u, self.direction.shape[0])
-        s = float(u @ self.direction)
-        resid = float(np.linalg.norm(u - s * self.direction))
-        return s >= -tol and resid <= tol * (1.0 + float(np.linalg.norm(u)))
-
-
-@dataclass(frozen=True, eq=False)
-class FaceConeValue(_Cone):
-    """Box normal cone at a face: sign-constrained coordinates.
-
-    ``signs[i]`` is +1 where the point sits on the upper face, -1 on the
-    lower face, 0 where the coordinate is interior (forcing u_i = 0).
-    """
-
-    signs: np.ndarray
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The cone as {u : rows @ u <= 0}."""
-        free = np.eye(self.signs.shape[0])[self.signs == 0]
-        return np.vstack([-np.diag(self.signs)[self.signs != 0], free, -free])
-
-    def contains(self, u, tol=MEMBER_TOL) -> bool:
-        u = as_vector(u, self.signs.shape[0])
-        ok_free = np.all(np.abs(u[self.signs == 0]) <= tol)
-        ok_up = np.all(u[self.signs > 0] >= -tol)
-        ok_dn = np.all(u[self.signs < 0] <= tol)
-        return bool(ok_free and ok_up and ok_dn)
-
-
-@dataclass(frozen=True, eq=False)
-class ConeByInequalities(_Cone):
-    """{u : rows @ u <= 0}; used for polytope normal cones."""
-
-    rows: np.ndarray
-
-    def contains(self, u, tol=MEMBER_TOL) -> bool:
-        u = as_vector(u, self.rows.shape[1])
-        return bool(np.all(self.rows @ u <= tol * (1.0 + np.linalg.norm(u))))
-
-
-@dataclass(frozen=True, eq=False)
-class AffineConeValue(_Cone):
-    """point + span(directions) + {u : rows @ u <= 0}.
-
-    u belongs to it iff rows (u - point - D s) <= 0 for some s (D the
-    directions), i.e. iff the least squares min over s and z <= 0 of
-    ||rows D s + z - rows (u - point)|| is 0, a bounded QP.  (Moreau's test
-    in the polar cone's multipliers has the Hessian rows rows', singular when
-    there are more rows than dimensions, where the active-set solver takes
-    rounding for a descent ray.)"""
-
-    point: np.ndarray
-    directions: Subspace
-    rows: np.ndarray
-
-    def contains(self, u, tol=MEMBER_TOL) -> bool:
-        u = as_vector(u, self.point.shape[0])
-        rd, b = self.rows @ self.directions.basis, self.rows @ (u - self.point)
-        m, k = rd.shape
-        a = np.hstack([rd, np.eye(m)])
-        hi = np.concatenate([np.full(k, np.inf), np.zeros(m)])
-        x = bounded_qp(a.T @ a, a.T @ b, np.full(k + m, -np.inf), hi, np.zeros(k + m))[0]
-        return float(np.linalg.norm(a @ x - b)) <= tol * (1.0 + float(np.linalg.norm(u)))
-
-
-@dataclass(frozen=True, eq=False)
-class TranslatedValue:
-    """base + offset, for cone-type values shifted off the origin."""
-
-    base: "SetValue"
-    offset: np.ndarray
-
-    def contains(self, u, tol=MEMBER_TOL) -> bool:
-        u = as_vector(u, self.offset.shape[0])
-        return self.base.contains(u - self.offset, tol)
-
-    def shifted(self, offset) -> "SetValue":
-        return TranslatedValue(self.base, self.offset + offset)
-
-
-SetValue = Union[EmptySet, PointValue, BallValue, AffineSetValue, RayValue,
-                 FaceConeValue, AffineConeValue, ConeByInequalities, TranslatedValue]
+SetValue = Union[EmptySet, BallValue, PolyhedralValue]
 
 
 def _minkowski(a: SetValue, b: SetValue) -> SetValue:
+    """Empty wins; a point shifts the other value; two polyhedral values
+    with at most one cone merge.  Nothing else has a value here."""
     if isinstance(a, EmptySet) or isinstance(b, EmptySet):
         return EmptySet()
-    if isinstance(a, PointValue):
-        return b.shifted(a.point)
-    if isinstance(b, PointValue):
-        return a.shifted(b.point)
-    if isinstance(a, AffineSetValue) and isinstance(b, AffineSetValue):
-        dirs = orthonormalize(
-            np.hstack([a.directions.basis, b.directions.basis]),
-            ambient_dim=a.point.shape[0])
-        return AffineSetValue(a.point + b.point, dirs)
-    if isinstance(b, AffineSetValue):
+    if isinstance(b, PolyhedralValue) and b.rows is None and not b.directions.dim:
         a, b = b, a
-    if isinstance(a, AffineSetValue) and isinstance(b, (RayValue, FaceConeValue,
-                                                       ConeByInequalities)):
-        return AffineConeValue(a.point, a.directions, b.rows)
+    if isinstance(a, PolyhedralValue) and a.rows is None and not a.directions.dim:
+        return b.shifted(a.point)
+    if isinstance(a, PolyhedralValue) and isinstance(b, PolyhedralValue) and (
+            a.rows is None or b.rows is None):
+        dirs = orthonormalize(np.hstack([a.directions.basis, b.directions.basis]),
+                              ambient_dim=a.point.shape[0])
+        return PolyhedralValue(a.point + b.point, dirs, b.rows if a.rows is None else a.rows)
     raise UnsupportedOperatorError(
-        f"Minkowski sum of {type(a).__name__} and {type(b).__name__} not supported")
+        "Minkowski sum not supported: two cones, or a ball plus more than a point")
 
 
 def apply(op: OperatorDescriptor, x) -> SetValue:

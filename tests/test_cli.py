@@ -477,6 +477,9 @@ _NOT_MONOTONE = "error: operator not monotone: "
     (["enlarge", "{line}", "--eps", "0.5", "--point", "0,0,1,0"], 2, "error: graph form"),
     (["sumcheck", "{boxcone}", "{ballcone}"], 2, "error: sums are covered"),
     (["classify", "{malformed}"], 1, "error: cannot load operator spec"),
+    # dom A = span e1 misses the box [-1, 1] x [0.5, 1.5]: every sampled
+    # point is skipped because the sum has an empty graph, not an anomaly
+    (["sumcheck", "{span_e1}", "{offbox}"], 2, "error: linear + normal cone: dom A misses C"),
 ])
 def test_main_maps_each_error_to_its_exit_code(specs, tmp_path, capsys, argv, code, prefix):
     from enlargekit import cli
@@ -490,6 +493,14 @@ def test_main_maps_each_error_to_its_exit_code(specs, tmp_path, capsys, argv, co
         "space_dim": 2,
         "operator": {"kind": "normal_cone",
                      "set": {"kind": "ball", "center": [0, 0], "radius": 1}}})
+    paths["span_e1"] = write_spec(tmp_path, "span_e1.json", {
+        "space_dim": 2,
+        "operator": {"kind": "linear_relation",
+                     "graph_basis": [[1, 0, 1, 0], [0, 0, 0, 1]]}})
+    paths["offbox"] = write_spec(tmp_path, "offbox.json", {
+        "space_dim": 2,
+        "operator": {"kind": "normal_cone",
+                     "set": {"kind": "box", "lo": [-1, 0.5], "hi": [1, 1.5]}}})
     assert cli.main([a.format(**paths) for a in argv]) == code
     out = capsys.readouterr()
     assert out.out == ""
