@@ -192,13 +192,13 @@ def cmd_classify(args):
 # ---------------------------------------------------------------------------
 
 def cmd_fitz(args):
+    count, radius = int(args.bruteforce[0]), float(args.bruteforce[1])
+    if count <= 0 or not (math.isfinite(radius) and radius > 0):
+        raise InputError("--bruteforce needs a positive count and a positive finite radius")
     op, raw = load_spec(args.spec)
     n = op.dim
     point = _parse_floats(args.point, 2 * n, "--point")
     x, xs = point[:n], point[n:]
-    count, radius = int(args.bruteforce[0]), float(args.bruteforce[1])
-    if count <= 0 or radius <= 0:
-        raise InputError("--bruteforce needs positive count and radius")
     closed = fitz_closed_form(op, x, xs)
     brute = fitz_bruteforce(op, x, xs, count=count, radius=radius, seed=args.seed)
     anomaly = brute.diverging
@@ -249,10 +249,10 @@ def _write_boundary_csv(path, x, points):
 
 
 def cmd_enlarge(args):
+    if not (math.isfinite(args.eps) and args.eps >= 0):
+        raise InputError("--eps must be finite and nonnegative")
     op, raw = load_spec(args.spec)
     n = op.dim
-    if args.eps < 0:
-        raise InputError("eps must be nonnegative")
     if (args.point is None) == (args.slice_at is None):
         raise InputError("exactly one of --point and --slice-at is required")
     tol = {"membership": enl.SLACK_TOL,
@@ -300,6 +300,10 @@ def cmd_enlarge(args):
 # ---------------------------------------------------------------------------
 
 def cmd_sumcheck(args):
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InputError("--tol must be finite and nonnegative")
+    if args.points < 1:
+        raise InputError("--points must be at least 1")
     op_a, raw_a = load_spec(args.spec_a)
     op_b, raw_b = load_spec(args.spec_b)
     if op_a.dim != op_b.dim:

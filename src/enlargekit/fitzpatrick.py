@@ -34,18 +34,18 @@ always returns a lower bound of the true value.
 The partial inf-convolution ``partial_inf_conv`` has three paths.  A linear
 A with N_C reads its minimiser off the multiplier of the cone-sum QP above,
 whose Fenchel dual it is; two linear pieces meet in a linear solve whose
-point-independent factors (:class:`CarrierPair`) the first slot's evaluator
-keeps per second-slot evaluator, as A's carrier keeps its QP per set, so
-that each point costs matrix-vector products and many points, as rows,
-matrix products; the pairs left, N_C with N_C
-and the p = 1 norm subdifferential with any of the other kinds or itself,
-run Douglas-Rachford.
+point-independent factors (:class:`CarrierPair`) the first slot's linear
+form keeps per second-slot linear form, with their sum relation, as A's
+carrier keeps its QP per set, so that each point costs matrix-vector
+products and many points, as rows, matrix products; the pairs left, N_C
+with N_C and the p = 1 norm subdifferential with any of the other kinds or
+itself, run Douglas-Rachford.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -141,7 +141,9 @@ class ConeSumQP:
 @dataclass(frozen=True, eq=False)
 class FitzEvaluator:
     """Closed-form Fitzpatrick function of one zoo operator: a per-call view
-    over what the descriptors keep.
+    over what the descriptors keep, keeping nothing itself (a pair of
+    quadratic evaluators reads its :class:`CarrierPair` off their linear
+    forms, :meth:`carrier_pair`).
 
     ``kind`` (and ``data``) is ``quadratic`` (linear maps, relations and
     linear sums; the kept carrier), ``cone_sum`` (linear + normal cone; the
@@ -151,8 +153,6 @@ class FitzEvaluator:
     operator: ops.OperatorDescriptor
     kind: str
     data: object
-    # a quadratic evaluator's CarrierPair per quadratic second-slot one
-    _pairs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -204,10 +204,12 @@ class FitzEvaluator:
     def carrier_pair(self, other) -> "CarrierPair":
         """The :class:`CarrierPair` of this quadratic evaluator in the first
         slot and the quadratic ``other`` in the second, built on the first
-        call for ``other`` and kept for later ones."""
-        if other not in self._pairs:
-            self._pairs[other] = CarrierPair.build(self.data, other.data)
-        return self._pairs[other]
+        call for their two linear forms and kept in the first form's record
+        of the sum with the second (:meth:`operators._Linear.sum_record`)."""
+        record = ops.linear_form(self.operator).sum_record(ops.linear_form(other.operator))
+        if "carriers" not in record:
+            record["carriers"] = CarrierPair.build(self.data, other.data)
+        return record["carriers"]
 
 
 def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
@@ -693,14 +695,15 @@ def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResul
 
     Two quadratic pieces meet in an exact linear solve on the intersection
     of their carriers, :class:`CarrierPair`, factored on the first call for
-    the pair (f1, f2) and kept on f1, so that a point costs matrix-vector
-    products (a linear + linear sum check solves all its points in one
-    :meth:`CarrierPair.solve` over their rows).  The pairs left (N_C with
-    N_C, and the p = 1 norm subdifferential with a linear operator, N_C or
-    itself) run Douglas-Rachford with exact proxes (deterministic start at
-    v = y/2).  A +inf value (incompatible carriers, x outside an indicator) is
-    reported with no witness; failure to converge raises
-    :class:`SolverFailureError` instead of being passed off as infinite.
+    the ordered pair of their linear forms and kept on the first, so that a
+    point costs matrix-vector products (a linear + linear sum check solves
+    all its points in one :meth:`CarrierPair.solve` over their rows).  The
+    pairs left (N_C with N_C, and the p = 1 norm subdifferential with a
+    linear operator, N_C or itself) run Douglas-Rachford with exact proxes
+    (deterministic start at v = y/2).  A +inf value (incompatible carriers,
+    x outside an indicator) is reported with no witness; failure to
+    converge raises :class:`SolverFailureError` instead of being passed off
+    as infinite.
     """
     if f1.dim != f2.dim:
         raise ops.DimensionMismatchError("evaluators live in different spaces")

@@ -30,13 +30,15 @@ All descriptors are immutable; every operation is pure given an explicit
 seed, so concurrent use needs no synchronization.  A descriptor keeps what
 is derived from it alone after first use: its ``validate()`` report and,
 for a map or relation, its Fitzpatrick carrier (:class:`CarrierQuadratic`)
-with a cone-sum QP per set.  Nothing kept refers back to the descriptor;
+with a cone-sum QP per set, and a record per linear second summand
+(:meth:`_Linear.sum_record`).  Nothing kept refers back to a descriptor;
 two concurrent first uses may both compute it, with identical results.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -567,6 +569,17 @@ class _Linear(_Descriptor):
             self.__dict__["carrier"] = CarrierQuadratic.build(self.u_block, self.v_block)
         return self.__dict__["carrier"]
 
+    def sum_record(self, other) -> dict:
+        """What this operator keeps for the ordered sum self + other with a
+        linear ``other``, filled on first use by its readers: ``relation``,
+        the sum relation (:attr:`SumOp.relation`), and ``carriers``, the
+        :class:`fitzpatrick.CarrierPair` of the two carriers.  It is weakly
+        keyed by ``other``, so it goes when ``other`` goes, and it refers to
+        no descriptor: a strong key would tie two operators summed in both
+        orders into a cycle."""
+        sums = self.__dict__.setdefault("sums", weakref.WeakKeyDictionary())
+        return sums.setdefault(other, {})
+
     def _report(self):
         lam = self.carrier.lam
         lam_min = float(lam[-1]) if lam.size else 0.0
@@ -782,8 +795,10 @@ class SumOp(_Descriptor):
     """Pointwise sum of two operators on the same space.
 
     When both terms are linear maps or relations, A + B is again one linear
-    relation; ``relation`` holds it (built once, here) and every layer
-    treats the sum as that relation.  It is None when a term is not linear.
+    relation; ``relation`` holds it, built once per ordered pair of terms
+    and kept in the first term's :meth:`_Linear.sum_record`, and every
+    layer treats the sum as that relation.  It is None when a term is not
+    linear.
     ``linear_cone`` holds the (linear, normal-cone) terms of a linear map or
     relation plus a normal cone, in that order, and None for other sums.
     """
@@ -798,8 +813,13 @@ class SumOp(_Descriptor):
         dims = {t.dim for t in self.terms}
         if len(dims) != 1:
             raise DimensionMismatchError("sum terms live in different spaces")
-        linear = all(isinstance(t, _Linear) for t in self.terms)
-        object.__setattr__(self, "relation", sum_relation(*self.terms) if linear else None)
+        relation = None
+        if all(isinstance(t, _Linear) for t in self.terms):
+            record = self.terms[0].sum_record(self.terms[1])
+            if "relation" not in record:
+                record["relation"] = sum_relation(*self.terms)
+            relation = record["relation"]
+        object.__setattr__(self, "relation", relation)
         lin, cone = self.terms[::-1] if isinstance(self.terms[0], NormalConeOp) else self.terms
         pair = isinstance(lin, _Linear) and isinstance(cone, NormalConeOp)
         object.__setattr__(self, "linear_cone", (lin, cone) if pair else None)

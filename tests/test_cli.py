@@ -480,6 +480,15 @@ _NOT_MONOTONE = "error: operator not monotone: "
     # dom A = span e1 misses the box [-1, 1] x [0.5, 1.5]: every sampled
     # point is skipped because the sum has an empty graph, not an anomaly
     (["sumcheck", "{span_e1}", "{offbox}"], 2, "error: linear + normal cone: dom A misses C"),
+    # numeric flags out of range are refused before any work
+    (["enlarge", "{id1}", "--eps=nan", "--point", "1,1"], 1, "error: --eps must be finite"),
+    (["enlarge", "{id1}", "--eps=-0.5", "--point", "1,1"], 1, "error: --eps must be finite"),
+    (["sumcheck", "{id1}", "{id1}", "--tol=nan"], 1, "error: --tol must be finite"),
+    (["sumcheck", "{id1}", "{id1}", "--tol=-1"], 1, "error: --tol must be finite"),
+    (["sumcheck", "{id1}", "{id1}", "--points", "0"], 1, "error: --points must be at least 1"),
+    (["sumcheck", "{id1}", "{id1}", "--points", "-3"], 1, "error: --points must be at least 1"),
+    (["fitz", "{id1}", "--point", "1,1", "--bruteforce", "10", "nan"], 1,
+     "error: --bruteforce needs a positive count"),
 ])
 def test_main_maps_each_error_to_its_exit_code(specs, tmp_path, capsys, argv, code, prefix):
     from enlargekit import cli
