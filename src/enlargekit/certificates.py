@@ -288,7 +288,6 @@ def _sum_points(op: ops.SumOp, n_points, seed):
     near the interior point moved towards dom A and projected onto C; z*
     random."""
     rng = np.random.default_rng(seed)
-    n_points = max(n_points, 0)
     rel = op.relation
     if rel is not None:
         n, k = rel.dim, rel.graph.dim
@@ -378,8 +377,11 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
     advisory but the check still runs.
 
     ``maximality`` is the exact verdict of :func:`sum_maximality`, and
-    ``sum_op`` the sum, for callers that go on to certify it.
+    ``sum_op`` the sum, for callers that go on to certify it.  Fewer than
+    one point raises ValueError: a check of no point proves nothing.
     """
+    if n_points < 1:
+        raise ValueError("n_points must be at least 1")
     fa, fb = fitz_evaluator(a), fitz_evaluator(b)
     sum_op = ops.SumOp((a, b))
     both_linear = sum_op.relation is not None

@@ -35,6 +35,7 @@ from . import certificates as cert
 from . import enlargement as enl
 from . import operators as ops
 from .fitzpatrick import fitz_bruteforce, fitz_closed_form, pairing
+from .linalg import check_nonnegative
 
 SUMCHECK_TOL = 1e-6
 BRUTEFORCE_GAP_ADVISORY = 1e-3
@@ -129,7 +130,7 @@ def jsonify(value):
     return value
 
 
-def emit(command, digest, seed, tolerances, results, out=sys.stdout):
+def emit(command, digest, seed, tolerances, results):
     envelope = {
         "schema": "v1",
         "tool": f"enlargekit {__version__}",
@@ -139,7 +140,7 @@ def emit(command, digest, seed, tolerances, results, out=sys.stdout):
         "tolerances": tolerances,
         "results": jsonify(results),
     }
-    out.write(json.dumps(envelope, indent=2) + "\n")
+    sys.stdout.write(json.dumps(envelope, indent=2) + "\n")
 
 
 def _parse_floats(text, expected, what):
@@ -249,8 +250,7 @@ def _write_boundary_csv(path, x, points):
 
 
 def cmd_enlarge(args):
-    if not (math.isfinite(args.eps) and args.eps >= 0):
-        raise InputError("--eps must be finite and nonnegative")
+    check_nonnegative(args.eps, "--eps")
     op, raw = load_spec(args.spec)
     n = op.dim
     if (args.point is None) == (args.slice_at is None):
@@ -300,8 +300,7 @@ def cmd_enlarge(args):
 # ---------------------------------------------------------------------------
 
 def cmd_sumcheck(args):
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise InputError("--tol must be finite and nonnegative")
+    check_nonnegative(args.tol, "--tol")
     if args.points < 1:
         raise InputError("--points must be at least 1")
     op_a, raw_a = load_spec(args.spec_a)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import operators as ops
 from .fitzpatrick import fitz_bruteforce, fitz_closed_form, pairing
-from .linalg import Subspace, as_vector, sym_eig
+from .linalg import Subspace, as_vector, check_nonnegative, sym_eig
 
 SLACK_TOL = 1e-9
 
@@ -56,8 +56,7 @@ def enl_member(op: ops.OperatorDescriptor, x, xs, eps,
     otherwise the sampled oracle with divergence detection (a diverging
     sup is treated as F = +inf, suspected).
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    check_nonnegative(eps, "eps")
     ops.require_maximal(op)
     n = op.dim
     x, xs = as_vector(x, n), as_vector(xs, n)
@@ -146,8 +145,7 @@ def _range_subspace(a: ops.LinearMapOp) -> Subspace:
 def enl_slice_linear(a: ops.LinearMapOp, x, eps) -> EllipsoidSlice:
     """Ellipsoid description of A_eps(x) for a monotone linear map:
     center A x, quadratic form pinv(A_+), level 4 eps, carrier ran A_+."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    check_nonnegative(eps, "eps")
     x = as_vector(x, a.dim)
     ran = _range_subspace(a)
     return EllipsoidSlice(center=a.matrix @ x, form=a.carrier.p,
@@ -184,8 +182,7 @@ class ParametricSlice:
 def enl_slice_param(a: ops.LinearMapOp, x, eps) -> ParametricSlice:
     """A_eps(x) = {Ax + (A + A') z : (1/2) <z, A z> <= eps / 2}; its image
     equals the ellipsoid of :func:`enl_slice_linear`."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    check_nonnegative(eps, "eps")
     x = as_vector(x, a.dim)
     ran = _range_subspace(a)
     sym = ops.symmetric_part(a)
@@ -225,8 +222,7 @@ def normal_cone_enl_member(nc: ops.NormalConeOp, x, xs, eps) -> bool:
 def eps_subdiff_slice(n: ops.NormSubdiffOp, eps) -> ops.BallValue:
     """The enlargement slice (df)_eps(0): the dual unit ball for p = 1,
     the ball of radius p^(1/p) (q eps)^(1/q) for p > 1 (1/p + 1/q = 1)."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    check_nonnegative(eps, "eps")
     if n.p == 1.0:
         return ops.BallValue(np.zeros(n.dim), 1.0)
     q = n.p / (n.p - 1.0)

@@ -24,22 +24,28 @@ Closed forms implemented here:
 The function value lives in ]-inf, +inf]; plain floats carry it, with
 ``math.inf`` for the infinite value.
 
+Each closed form is one :class:`FitzEvaluator` subclass, picked by
+:func:`fitz_evaluator` alone: :class:`LinearFitz` (maps, relations and
+linear + linear sums, on the kept carrier), :class:`ConeSumFitz` (linear
++ N_C, on its kept :class:`ConeSumQP`), :class:`NormalConeFitz` and
+:class:`NormGraphFitz` (p = 1).  Each gives its value, its maximiser and,
+but for the cone sum, its Douglas-Rachford piece.
+
 The sampled oracle ``fitz_bruteforce`` maximizes the defining supremum
 over deterministic graph samples, optionally polished by the evaluator's
-maximiser (:meth:`FitzEvaluator.maximiser`: a linear solve for maps and
-relations, the QP maximiser for a linear + normal-cone sum, the kink pair
-for p = 1), or for p > 1, which has no evaluator, a 1-D radius search.  It
-always returns a lower bound of the true value.
+maximiser (:meth:`FitzEvaluator.maximiser`), or for p > 1, which has no
+evaluator, a 1-D radius search.  It always returns a lower bound of the
+true value.
 
 The partial inf-convolution ``partial_inf_conv`` has three paths.  A linear
 A with N_C reads its minimiser off the multiplier of the cone-sum QP above,
 whose Fenchel dual it is; two linear pieces meet in a linear solve whose
 point-independent factors (:class:`CarrierPair`) the first slot's linear
-form keeps per second-slot linear form, with their sum relation, as A's
-carrier keeps its QP per set, so that each point costs matrix-vector
-products and many points, as rows, matrix products; the pairs left, N_C
-with N_C and the p = 1 norm subdifferential with any of the other kinds or
-itself, run Douglas-Rachford.
+operator keeps per second-slot one, with their sum relation, as it keeps
+its QP per set, so that each point costs matrix-vector products and many
+points, as rows, matrix products; the pairs left, N_C with N_C and the
+p = 1 norm subdifferential with a linear operator, N_C or itself, run
+Douglas-Rachford on the evaluators' pieces (:meth:`FitzEvaluator.dr_piece`).
 """
 
 from __future__ import annotations
@@ -141,75 +147,117 @@ class ConeSumQP:
 @dataclass(frozen=True, eq=False)
 class FitzEvaluator:
     """Closed-form Fitzpatrick function of one zoo operator: a per-call view
-    over what the descriptors keep, keeping nothing itself (a pair of
-    quadratic evaluators reads its :class:`CarrierPair` off their linear
-    forms, :meth:`carrier_pair`).
-
-    ``kind`` (and ``data``) is ``quadratic`` (linear maps, relations and
-    linear sums; the kept carrier), ``cone_sum`` (linear + normal cone; the
-    linear term's kept QP), ``indicator_support`` (normal cones; the set)
-    or ``norm_graph`` (the p = 1 norm subdifferential)."""
+    over ``data``, what the descriptors keep for it.  Each closed form is a
+    subclass with its value (``_value``, behind :meth:`evaluate`), its
+    maximiser (``_maximiser``) and its Douglas-Rachford piece (:meth:`dr_piece`)."""
 
     operator: ops.OperatorDescriptor
-    kind: str
-    data: object
+    data: object = None
 
     @property
     def dim(self) -> int:
         return self.operator.dim
 
     def evaluate(self, x, xs, tol=CARRIER_TOL) -> float:
-        x = as_vector(x, self.dim)
-        xs = as_vector(xs, self.dim)
-        if self.kind in ("quadratic", "cone_sum"):
-            return self.data.evaluate(x, xs, tol)
-        if self.kind == "indicator_support":
-            c = self.data
-            if not c.contains(x, tol):
-                return math.inf
-            return c.support(xs)
-        if self.kind == "norm_graph":
-            if float(np.linalg.norm(xs)) > 1.0 + tol:
-                return math.inf
-            return float(np.linalg.norm(x))
-        raise AssertionError(self.kind)
+        return self._value(as_vector(x, self.dim), as_vector(xs, self.dim), tol)
 
     def maximiser(self, x, xs):
         """The graph pair (a, a*) maximising <x, a*> + <a, x*> - <a, a*>, of
-        value F(x, x*) where F is finite; None for a normal cone.  A linear
-        form's is (U t, V t), t = P c / 2 (c'Pc/4 bounds F below off the
-        carrier), a cone sum's its QP's, and p = 1's the kink (0, x/||x||)."""
-        x, xs = as_vector(x, self.dim), as_vector(xs, self.dim)
-        if self.kind == "quadratic":
-            t = 0.5 * (self.data.p @ self.data.c_of(x, xs))
-            return self.data.u @ t, self.data.v @ t
-        if self.kind == "cone_sum":
-            return self.data.maximiser(x, xs)[1]
-        if self.kind == "norm_graph":
-            nx = float(np.linalg.norm(x))
-            return np.zeros_like(x), x / nx if nx > 0 else np.zeros_like(x)
-        return None
+        value F(x, x*) where F is finite; None for a normal cone."""
+        return self._maximiser(as_vector(x, self.dim), as_vector(xs, self.dim))
+
+    def dr_piece(self, x, y, first_slot):
+        """F(x, .) as (constant, piece in v), read at y - v in the first
+        slot and at v in the second; the constant is +inf for x off the
+        indicator part.  A linear + normal-cone sum has no piece."""
+        raise ops.UnsupportedOperatorError(
+            f"no partial inf-convolution piece for {type(self.operator).__name__}")
+
+
+class LinearFitz(FitzEvaluator):
+    """A monotone linear map or relation, or a linear + linear sum: ``data``
+    is the kept carrier of its linear form."""
+
+    def _value(self, x, xs, tol):
+        return self.data.evaluate(x, xs, tol)
+
+    def _maximiser(self, x, xs):
+        # (U t, V t), t = P c / 2; c'Pc/4 bounds F below off the carrier
+        t = 0.5 * (self.data.p @ self.data.c_of(x, xs))
+        return self.data.u @ t, self.data.v @ t
+
+    def dr_piece(self, x, y, first_slot):
+        cq = self.data
+        b = cq.v.T @ x
+        if first_slot:
+            return 0.0, _QuadPiece(cq, b + cq.u.T @ y, -1.0)
+        return 0.0, _QuadPiece(cq, b, +1.0)
 
     def cone_qp(self, c) -> ConeSumQP:
-        """The :class:`ConeSumQP` of this evaluator's linear operator plus
-        N_C, built on the first call for the set ``c`` and kept on the
-        carrier for later ones, a QP the set refused included (a kept
-        record whose :meth:`ConeSumQP.maximiser` raises); raises
+        """The :class:`ConeSumQP` of this operator plus N_C, kept by the
+        operator for the set ``c`` even when the set refused it; raises
         UnsupportedOperatorError when the operator is not maximal."""
-        qps = self.data.cone_qps
-        if c not in qps:
-            qps[c] = ConeSumQP.build(ops.linear_form(self.operator), c)
-        return qps[c]
+        lin = ops.linear_form(self.operator)
+        return lin._kept("cone_qp", lambda: ConeSumQP.build(lin, c), c)
 
     def carrier_pair(self, other) -> "CarrierPair":
-        """The :class:`CarrierPair` of this quadratic evaluator in the first
-        slot and the quadratic ``other`` in the second, built on the first
-        call for their two linear forms and kept in the first form's record
-        of the sum with the second (:meth:`operators._Linear.sum_record`)."""
-        record = ops.linear_form(self.operator).sum_record(ops.linear_form(other.operator))
-        if "carriers" not in record:
-            record["carriers"] = CarrierPair.build(self.data, other.data)
-        return record["carriers"]
+        """The :class:`CarrierPair` of this evaluator in the first slot and
+        the linear ``other`` in the second, kept by the first linear form
+        for the second."""
+        return ops.linear_form(self.operator)._kept(
+            "carriers", lambda: CarrierPair.build(self.data, other.data),
+            ops.linear_form(other.operator))
+
+
+class ConeSumFitz(FitzEvaluator):
+    """A maximal linear A plus N_C: ``data`` is the kept :class:`ConeSumQP`;
+    the maximiser is the QP's."""
+
+    def _value(self, x, xs, tol):
+        return self.data.evaluate(x, xs, tol)
+
+    def _maximiser(self, x, xs):
+        return self.data.maximiser(x, xs)[1]
+
+
+class NormalConeFitz(FitzEvaluator):
+    """N_C: the indicator of C at x plus its support function at x*;
+    ``data`` is the set."""
+
+    def _value(self, x, xs, tol):
+        return self.data.support(xs) if self.data.contains(x, tol) else math.inf
+
+    def _maximiser(self, x, xs):
+        return None
+
+    def dr_piece(self, x, y, first_slot):
+        if not self.data.contains(x, CARRIER_TOL):
+            return math.inf, None
+        return 0.0, _ProxPiece(self._prox, y if first_slot else None)
+
+    def _prox(self, w, t):
+        # Moreau: the support function's prox through projection onto C
+        return w - t * self.data.project(w / t)
+
+
+class NormGraphFitz(FitzEvaluator):
+    """The p = 1 norm subdifferential: ||x|| plus the indicator of the dual
+    unit ball at x*; the maximiser is the kink pair (0, x/||x||)."""
+
+    def _value(self, x, xs, tol):
+        return math.inf if float(np.linalg.norm(xs)) > 1.0 + tol else float(np.linalg.norm(x))
+
+    def _maximiser(self, x, xs):
+        nx = float(np.linalg.norm(x))
+        return np.zeros_like(x), x / nx if nx > 0 else np.zeros_like(x)
+
+    def dr_piece(self, x, y, first_slot):
+        return float(np.linalg.norm(x)), _ProxPiece(self._prox, y if first_slot else None)
+
+    def _prox(self, w, t):
+        # the dual unit ball's indicator: projection onto the ball
+        nw = float(np.linalg.norm(w))
+        return w if nw <= 1.0 else w / nw
 
 
 def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
@@ -221,17 +269,17 @@ def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
     lin = ops.linear_form(op)
     if lin is not None:
         ops.require_monotone(lin)
-        return FitzEvaluator(op, "quadratic", lin.carrier)
+        return LinearFitz(op, lin.carrier)
     if isinstance(op, ops.NormalConeOp):
-        return FitzEvaluator(op, "indicator_support", op.set)
+        return NormalConeFitz(op, op.set)
     if isinstance(op, ops.NormSubdiffOp):
         if op.p == 1.0:
-            return FitzEvaluator(op, "norm_graph", None)
+            return NormGraphFitz(op)
         raise ops.UnsupportedOperatorError(
             "no closed form for p > 1 norm subdifferentials; use fitz_bruteforce")
     if isinstance(op, ops.SumOp):
         lin, cone = ops.split_linear_cone(op)
-        return FitzEvaluator(op, "cone_sum", fitz_evaluator(lin).cone_qp(cone.set).supported())
+        return ConeSumFitz(op, fitz_evaluator(lin).cone_qp(cone.set).supported())
     raise ops.UnsupportedOperatorError(f"no evaluator for {type(op).__name__}")
 
 
@@ -532,45 +580,6 @@ class _ProxPiece:
         return self.flip_y - self.prox_plain(self.flip_y - w, t)
 
 
-def _support_prox(c):
-    def prox(w, t):
-        # Moreau: prox of the support function via projection onto the set
-        return w - t * c.project(w / t)
-    return prox
-
-
-def _ball_indicator_prox():
-    def prox(w, t):
-        nw = float(np.linalg.norm(w))
-        return w if nw <= 1.0 else w / nw
-    return prox
-
-
-def _second_slot_piece(ev: FitzEvaluator, x, y, first_slot):
-    """Decompose F(x, .) as additive-constant + v-piece.
-
-    ``first_slot`` evaluators receive u = y - v, the second slot receives
-    v itself.  Returns (constant, piece) where piece is a _QuadPiece or a
-    _ProxPiece; the constant is +inf when x is outside the indicator part.
-    """
-    if ev.kind == "quadratic":
-        cq = ev.data
-        b = cq.v.T @ x
-        if first_slot:
-            return 0.0, _QuadPiece(cq, b + cq.u.T @ y, -1.0)
-        return 0.0, _QuadPiece(cq, b, +1.0)
-    if ev.kind == "indicator_support":
-        c = ev.data
-        if not c.contains(x, CARRIER_TOL):
-            return math.inf, None
-        return 0.0, _ProxPiece(_support_prox(c), flip_y=y if first_slot else None)
-    if ev.kind == "norm_graph":
-        const = float(np.linalg.norm(x))
-        return const, _ProxPiece(_ball_indicator_prox(),
-                                 flip_y=y if first_slot else None)
-    raise AssertionError(ev.kind)
-
-
 @dataclass(frozen=True, eq=False)
 class CarrierPair:
     """The inner problem of (F1 box_2 F2)(x, y) for two carrier quadratics,
@@ -663,7 +672,7 @@ def _douglas_rachford(pf, pg, y):
 def _cone_sum_dual(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResult:
     """The linear + normal-cone case of :func:`partial_inf_conv`, in either
     order: v* is the multiplier of the cone-sum QP at (x, y)."""
-    lin_ev, cone_ev = (f1, f2) if f1.kind == "quadratic" else (f2, f1)
+    lin_ev, cone_ev = (f1, f2) if isinstance(f1, LinearFitz) else (f2, f1)
     c, off = cone_ev.data, InfConvResult(math.inf, None, 0.0, math.inf)
     if not c.contains(x, CARRIER_TOL):
         return off
@@ -700,32 +709,32 @@ def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResul
     all its points in one :meth:`CarrierPair.solve` over their rows).  The
     pairs left (N_C with N_C, and the p = 1 norm subdifferential with a
     linear operator, N_C or itself) run Douglas-Rachford with exact proxes
-    (deterministic start at v = y/2).  A +inf value (incompatible carriers,
-    x outside an indicator) is reported with no witness; failure to
-    converge raises :class:`SolverFailureError` instead of being passed off
-    as infinite.
+    (deterministic start at v = y/2).  A linear + normal-cone sum
+    evaluator in either slot has no piece and raises
+    UnsupportedOperatorError.  A +inf value (incompatible carriers, x
+    outside an indicator) is reported with no witness; failure to converge
+    raises :class:`SolverFailureError` instead of being passed off as
+    infinite.
     """
     if f1.dim != f2.dim:
         raise ops.DimensionMismatchError("evaluators live in different spaces")
     x = as_vector(x, f1.dim)
     y = as_vector(y, f1.dim)
-    if {f1.kind, f2.kind} == {"quadratic", "indicator_support"}:
+    classes = {type(f1), type(f2)}
+    if classes == {LinearFitz, NormalConeFitz}:
         return _cone_sum_dual(f1, f2, x, y)
-    if f1.kind == f2.kind == "quadratic":
+    if classes == {LinearFitz}:
         vstar, resid, ok = f1.carrier_pair(f2).solve(x, y)
         if not ok:
             return InfConvResult(math.inf, None, 0.0)
         resid = float(resid)
     else:
-        c1, p1 = _second_slot_piece(f1, x, y, first_slot=True)
-        c2, p2 = _second_slot_piece(f2, x, y, first_slot=False)
+        c1, p1 = f1.dr_piece(x, y, first_slot=True)
+        c2, p2 = f2.dr_piece(x, y, first_slot=False)
         if math.isinf(c1) or math.isinf(c2):
             return InfConvResult(math.inf, None, 0.0)
         # run DR with the quadratic piece (exact KKT prox) as f when present
-        if isinstance(p2, _QuadPiece):
-            pf, pg = p2, p1
-        else:
-            pf, pg = p1, p2
+        pf, pg = (p2, p1) if isinstance(p2, _QuadPiece) else (p1, p2)
         if isinstance(pf, _QuadPiece) and pf.feasible_point() is None:
             return InfConvResult(math.inf, None, 0.0)
         vstar, resid = _douglas_rachford(pf, pg, y)

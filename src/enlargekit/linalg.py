@@ -73,6 +73,12 @@ def as_matrix(m, square=False) -> np.ndarray:
     return a
 
 
+def check_nonnegative(value, what):
+    """Raise ValueError unless ``value`` is a finite number >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{what} must be finite and nonnegative")
+
+
 def check_symmetric(m, tol=SYM_TOL) -> np.ndarray:
     """Return ``m`` as a square array, raising :class:`NonSymmetricError`
     if ``max|m - m.T|`` exceeds ``tol``."""

@@ -28,11 +28,13 @@ owns its normal-cone helpers (the set protocol below).
 
 All descriptors are immutable; every operation is pure given an explicit
 seed, so concurrent use needs no synchronization.  A descriptor keeps what
-is derived from it alone after first use: its ``validate()`` report and,
-for a map or relation, its Fitzpatrick carrier (:class:`CarrierQuadratic`)
-with a cone-sum QP per set, and a record per linear second summand
-(:meth:`_Linear.sum_record`).  Nothing kept refers back to a descriptor;
-two concurrent first uses may both compute it, with identical results.
+it derives after first use, through one get-or-build method
+(:meth:`_Descriptor._kept`): its ``validate()`` report and, for a map or
+relation, its Fitzpatrick carrier (:class:`CarrierQuadratic`), and per
+second summand of a sum with it, the sum relation and carrier pair of a
+linear one or the cone-sum QP of a set C (for N_C).  Nothing kept refers
+back to a descriptor; two concurrent first uses may both compute it, with
+identical results.
 """
 
 from __future__ import annotations
@@ -494,14 +496,24 @@ def support_function(c: ConvexSetDescriptor, u) -> float:
 # ---------------------------------------------------------------------------
 
 class _Descriptor:
-    """``validate()`` returns ``_report()``, kept after first use.  Kept data
-    takes no lock (``functools.cached_property`` holds one per property
-    before Python 3.12, which nested first uses in two threads deadlock on)."""
+    """``validate()`` returns ``_report()``, kept after first use."""
 
     def validate(self) -> "ValidationReport":
-        if "report" not in self.__dict__:
-            self.__dict__["report"] = self._report()
-        return self.__dict__["report"]
+        return self._kept("report", self._report)
+
+    def _kept(self, key, build, other=None):
+        """What this descriptor keeps under ``key``, made by ``build()`` on
+        first use; with ``other`` (a linear second summand, or the set C of
+        N_C), kept for the sum self + other in a record weakly keyed by
+        ``other``, as a strong key would tie two operators summed in both
+        orders into a cycle.  It takes no lock (``functools.cached_property``
+        holds one before Python 3.12, which nested first uses deadlock on)."""
+        store = self.__dict__
+        if other is not None:
+            store = store.setdefault("sums", weakref.WeakKeyDictionary()).setdefault(other, {})
+        if key not in store:
+            store[key] = build()
+        return store[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -513,8 +525,7 @@ class CarrierQuadratic:
     split of q into ``ran`` and ``null``, bases of ran W and ker W (the
     carrier test is ||null' c|| ~ 0).  For a map (U = I, V = A) W is the
     symmetric part of A, so its enlargement slices and skew witness read
-    these too.  ``cone_qps`` keeps the cone-sum QP of the operator plus
-    N_C per set, a QP the set refused included.
+    these too.
 
     :meth:`c_of` and :meth:`evaluate` take one point, x and u of shape
     (n,), or m points as the rows of (m, n) arrays, through the same
@@ -528,7 +539,6 @@ class CarrierQuadratic:
     p: np.ndarray       # pinv(W)
     ran: np.ndarray     # (k, r) orthonormal basis of ran W
     null: np.ndarray    # (k, k - r) orthonormal basis of ker W
-    cone_qps: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, u, v) -> "CarrierQuadratic":
@@ -565,20 +575,7 @@ class _Linear(_Descriptor):
     @property
     def carrier(self) -> CarrierQuadratic:
         """The Fitzpatrick carrier of the graph chart, kept after first use."""
-        if "carrier" not in self.__dict__:
-            self.__dict__["carrier"] = CarrierQuadratic.build(self.u_block, self.v_block)
-        return self.__dict__["carrier"]
-
-    def sum_record(self, other) -> dict:
-        """What this operator keeps for the ordered sum self + other with a
-        linear ``other``, filled on first use by its readers: ``relation``,
-        the sum relation (:attr:`SumOp.relation`), and ``carriers``, the
-        :class:`fitzpatrick.CarrierPair` of the two carriers.  It is weakly
-        keyed by ``other``, so it goes when ``other`` goes, and it refers to
-        no descriptor: a strong key would tie two operators summed in both
-        orders into a cycle."""
-        sums = self.__dict__.setdefault("sums", weakref.WeakKeyDictionary())
-        return sums.setdefault(other, {})
+        return self._kept("carrier", lambda: CarrierQuadratic.build(self.u_block, self.v_block))
 
     def _report(self):
         lam = self.carrier.lam
@@ -589,10 +586,10 @@ class _Linear(_Descriptor):
                                 f"dim gra = {k} (n = {self.dim})")
 
 
-class _Subdifferential:
+class _Subdifferential(_Descriptor):
     """Norm subdifferentials and normal cones: maximally monotone outright."""
 
-    def validate(self):
+    def _report(self):
         return ValidationReport(True, True, "subdifferential of a proper lsc convex function")
 
 
@@ -796,9 +793,8 @@ class SumOp(_Descriptor):
 
     When both terms are linear maps or relations, A + B is again one linear
     relation; ``relation`` holds it, built once per ordered pair of terms
-    and kept in the first term's :meth:`_Linear.sum_record`, and every
-    layer treats the sum as that relation.  It is None when a term is not
-    linear.
+    and kept by the first term for the second, and every layer treats the
+    sum as that relation.  It is None when a term is not linear.
     ``linear_cone`` holds the (linear, normal-cone) terms of a linear map or
     relation plus a normal cone, in that order, and None for other sums.
     """
@@ -815,10 +811,8 @@ class SumOp(_Descriptor):
             raise DimensionMismatchError("sum terms live in different spaces")
         relation = None
         if all(isinstance(t, _Linear) for t in self.terms):
-            record = self.terms[0].sum_record(self.terms[1])
-            if "relation" not in record:
-                record["relation"] = sum_relation(*self.terms)
-            relation = record["relation"]
+            relation = self.terms[0]._kept("relation", lambda: sum_relation(*self.terms),
+                                           self.terms[1])
         object.__setattr__(self, "relation", relation)
         lin, cone = self.terms[::-1] if isinstance(self.terms[0], NormalConeOp) else self.terms
         pair = isinstance(lin, _Linear) and isinstance(cone, NormalConeOp)
@@ -1342,7 +1336,7 @@ def sample_graph(op: OperatorDescriptor, count, radius, seed) -> np.ndarray:
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError("radius must be positive and finite")
     x, xs = op.sample(int(count), float(radius), np.random.SeedSequence(seed))
     return np.stack([x, xs], axis=1)

@@ -337,3 +337,10 @@ def test_sum_exactness_checks_points_of_a_proper_domain():
     assert 0 < rep.skipped_points < rep.points_tested
     assert len(rep.exactness_witnesses) == rep.points_tested - rep.skipped_points
     assert rep.max_gap <= 1e-8
+
+
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_a_sum_check_of_no_point_is_refused(n_points):
+    # it reported max_gap 0.0 over 0 points tested, which reads as a pass
+    with pytest.raises(ValueError, match="n_points must be at least 1"):
+        sum_fitz_exactness(LinearMapOp(ROT90), LinearMapOp(np.eye(2)), n_points=n_points)

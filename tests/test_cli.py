@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -517,3 +519,14 @@ def test_main_maps_each_error_to_its_exit_code(specs, tmp_path, capsys, argv, co
     assert "Traceback" not in out.err
     if not prefix.startswith(_NOT_MONOTONE):
         assert "not monotone" not in out.err
+
+
+def test_main_writes_the_envelope_to_the_current_stdout(specs):
+    # an in-process caller that redirects sys.stdout reads the envelope
+    from enlargekit import cli
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["classify", specs["rot90"]]) == 0
+    env = json.loads(buf.getvalue())
+    assert env["schema"] == "v1" and env["command"] == "classify"

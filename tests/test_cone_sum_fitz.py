@@ -197,7 +197,7 @@ def test_cone_sum_evaluator_matches_the_face_enumeration(n, seed):
         q, m, _ = _chart(lin)
         for c in _sets(n, rng):
             ev = fitz_evaluator(SumOp((lin, NormalConeOp(c))))
-            assert ev.kind == "cone_sum"
+            assert isinstance(ev, fz.ConeSumFitz)
             perp = complement(orthonormalize(q, ambient_dim=n)).basis
             for z in _points_of(c, q, rng, 4):
                 # z is inside C, so (z, M Q'z + D-perp) is on the sum's graph
@@ -318,8 +318,8 @@ def _relation_with_domain(n, k, rng):
 def _dr_value(fa, fc, z, zs):
     """The inf-convolution by Douglas-Rachford on the two pieces, or None
     where it stops at its iteration cap."""
-    _, pf = fz._second_slot_piece(fa, z, zs, first_slot=True)
-    _, pg = fz._second_slot_piece(fc, z, zs, first_slot=False)
+    _, pf = fa.dr_piece(z, zs, first_slot=True)
+    _, pg = fc.dr_piece(z, zs, first_slot=False)
     if pf.feasible_point() is None:
         return math.inf
     try:
@@ -615,3 +615,18 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_a_cone_sum_evaluator_in_the_inf_convolution_is_unsupported():
+    # a linear + N_C sum evaluator has no Douglas-Rachford piece: in either
+    # slot it raised a bare AssertionError, which no caller could map
+    box = Box(-np.ones(2), np.ones(2))
+    fs = fitz_evaluator(SumOp((LinearMapOp(np.eye(2)), NormalConeOp(box))))
+    z, zs = np.array([0.5, 0.0]), np.array([0.0, 1.0])
+    others = [fitz_evaluator(op) for op in (
+        LinearMapOp(np.array([[1.0, -1.0], [1.0, 1.0]])), NormalConeOp(box),
+        ops.NormSubdiffOp(2, 1.0))]
+    for other in [fs, *others]:
+        for f1, f2 in ((fs, other), (other, fs)):
+            with pytest.raises(ops.UnsupportedOperatorError, match="SumOp"):
+                fz.partial_inf_conv(f1, f2, z, zs)

@@ -394,3 +394,17 @@ def test_skew_relation_helper_matches_its_formula(rel):
         assert skew_relation_enl(rel, x, xs, eps) == want, (x, xs, eps)
         members += want
     assert 0 < members < len(cases)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.5])
+def test_a_non_finite_or_negative_eps_is_refused(eps):
+    # NaN passed the old eps < 0 test: member=False with slack nan, and
+    # slices of level or radius nan
+    a, x = rotation(0.3), np.array([1.0, 0.0])
+    calls = (lambda: enl_member(a, x, [0.0, 1.0], eps),
+             lambda: enl_slice_linear(a, x, eps),
+             lambda: enl_slice_param(a, x, eps),
+             lambda: eps_subdiff_slice(NormSubdiffOp(2, 2.0), eps))
+    for call in calls:
+        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+            call()

@@ -2,6 +2,7 @@
 membership for every operator kind, the Halton radical inverse, and the
 number of pairs one oracle call draws."""
 
+import math
 import subprocess
 import sys
 
@@ -129,3 +130,14 @@ def test_cli_import_and_sampling_leave_scipy_stats_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+def test_a_non_finite_or_nonpositive_radius_is_refused(radius):
+    # a NaN radius gave fitz_bruteforce value=nan and diverging=False, which
+    # is no lower bound
+    op = NormSubdiffOp(2, 1.5)
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        sample_graph(op, 10, radius, 0)
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        fitz_bruteforce(op, [1.0, 0.0], [0.5, 0.0], count=10, radius=radius)
