@@ -264,7 +264,7 @@ class SumCheckReport:
     hypothesis_ok: bool
     mode: str
     notes: str = ""
-    skipped_points: int = 0  # cone-sum points left unchecked (rhs = +inf)
+    skipped_points: int = 0  # points left unchecked (both sides +inf)
     sum_op: Optional[ops.SumOp] = field(default=None, repr=False)  # the sum checked
 
 
@@ -334,11 +334,11 @@ def _sum_points(op: ops.SumOp, n_points, seed):
 
 
 def _linear_sum_gaps(fa, fb, sum_op, points):
-    """(max_gap, witnesses) of a linear + linear sum check, with both sides
-    at every point in one pass over the rows of ``points``: the right side
-    from one :meth:`CarrierPair.solve`, the left from the sum relation's
-    carrier.  A point where both sides are +inf is passed over; the first
-    where exactly one is sets the gap to +inf and ends the check."""
+    """(max_gap, witnesses, skipped) of a linear + linear sum check, with
+    both sides at every point in one pass over the rows of ``points``: the
+    right side from one :meth:`CarrierPair.solve`, the left from the sum
+    relation's carrier.  A point where both sides are +inf is skipped; the
+    first where exactly one is sets the gap to +inf and ends the check."""
     z, zs = points[:, 0], points[:, 1]
     vstar, resid, ok = fa.carrier_pair(fb).solve(z, zs)
     rhs = np.where(ok, fa.data.evaluate(z, zs - vstar, tol=1e-7)
@@ -349,9 +349,10 @@ def _linear_sum_gaps(fa, fb, sum_op, points):
     stop = mismatch[0] if mismatch.size else len(points)
     finite = np.flatnonzero(~(inf_r | inf_l)[:stop])
     witnesses = [(int(i), vstar[i], float(resid[i])) for i in finite]
+    skipped = int(np.sum((inf_r & inf_l)[:stop]))
     if mismatch.size:
-        return math.inf, witnesses
-    return float(np.abs(lhs[finite] - rhs[finite]).max(initial=0.0)), witnesses
+        return math.inf, witnesses, skipped
+    return float(np.abs(lhs[finite] - rhs[finite]).max(initial=0.0)), witnesses, skipped
 
 
 def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
@@ -372,7 +373,7 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
     point off dom A (dom A misses C, or a ball touched by dom A at a point
     the samples miss); A not maximal, or a sample at the touching point,
     raises UnsupportedOperatorError.  A point where exactly one side is +inf sets
-    ``max_gap`` to +inf.  Cone-sum points where both sides are +inf count
+    ``max_gap`` to +inf.  Points before it where both sides are +inf count
     as ``skipped_points``.  A violated hypothesis flags the report as
     advisory but the check still runs.
 
@@ -395,11 +396,10 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
         mode = "linear+normal-cone"
         notes = f"interior-domain check: {hypothesis_ok}"
     points = _sum_points(sum_op, n_points, seed)
-    skipped = 0
     if both_linear:
-        max_gap, witnesses = _linear_sum_gaps(fa, fb, sum_op, points)
+        max_gap, witnesses, skipped = _linear_sum_gaps(fa, fb, sum_op, points)
     else:
-        max_gap, witnesses = 0.0, []
+        max_gap, witnesses, skipped = 0.0, [], 0
         for idx, (z, zs) in enumerate(points):
             rhs = partial_inf_conv(fa, fb, z, zs)
             lhs = rhs.sum_value

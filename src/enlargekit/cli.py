@@ -90,12 +90,19 @@ def _parse_operator(obj, n):
     raise InputError(f"unknown operator kind {kind!r}")
 
 
+def _refuse_constant(token):
+    # Python's json reads NaN and Infinity, which strict JSON has not
+    raise InputError(f"{token} is not a JSON value")
+
+
 def load_spec(path):
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        doc = json.loads(raw.decode("utf-8"))
-        n = int(doc["space_dim"])
+        doc = json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant)
+        n = doc["space_dim"]
+        if type(n) is not int or n < 1:
+            raise InputError(f"space_dim must be an integer >= 1, not {n!r}")
         op = _parse_operator(doc["operator"], n)
     except (OSError, KeyError, TypeError, ValueError) as exc:  # JSON and descriptor errors too
         raise InputError(f"cannot load operator spec {path}: {exc}") from exc

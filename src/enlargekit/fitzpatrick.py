@@ -28,8 +28,7 @@ Each closed form is one :class:`FitzEvaluator` subclass, picked by
 :func:`fitz_evaluator` alone: :class:`LinearFitz` (maps, relations and
 linear + linear sums, on the kept carrier), :class:`ConeSumFitz` (linear
 + N_C, on its kept :class:`ConeSumQP`), :class:`NormalConeFitz` and
-:class:`NormGraphFitz` (p = 1).  Each gives its value, its maximiser and,
-but for the cone sum, its Douglas-Rachford piece.
+:class:`NormGraphFitz` (p = 1).  Each gives its value and its maximiser.
 
 The sampled oracle ``fitz_bruteforce`` maximizes the defining supremum
 over deterministic graph samples, optionally polished by the evaluator's
@@ -37,15 +36,18 @@ maximiser (:meth:`FitzEvaluator.maximiser`), or for p > 1, which has no
 evaluator, a 1-D radius search.  It always returns a lower bound of the
 true value.
 
-The partial inf-convolution ``partial_inf_conv`` has three paths.  A linear
-A with N_C reads its minimiser off the multiplier of the cone-sum QP above,
-whose Fenchel dual it is; two linear pieces meet in a linear solve whose
-point-independent factors (:class:`CarrierPair`) the first slot's linear
-operator keeps per second-slot one, with their sum relation, as it keeps
-its QP per set, so that each point costs matrix-vector products and many
-points, as rows, matrix products; the pairs left, N_C with N_C and the
-p = 1 norm subdifferential with a linear operator, N_C or itself, run
-Douglas-Rachford on the evaluators' pieces (:meth:`FitzEvaluator.dr_piece`).
+The partial inf-convolution ``partial_inf_conv`` has three paths, picked
+by the pair of evaluator classes.  A linear A with N_C, the pair of the
+second sum theorem, reads its minimiser off the multiplier of the cone-sum
+QP above, whose Fenchel dual it is.  Two linear pieces, the pair of the
+first, meet in a linear solve whose point-independent factors
+(:class:`CarrierPair`) the first slot's linear operator keeps per
+second-slot one, with their sum relation, as it keeps its QP per set, so
+that each point costs matrix-vector products and many points, as rows,
+matrix products.  N_C with N_C runs Douglas-Rachford on the Moreau proxes
+of the two support functions.  Every other pair (the p = 1 norm
+subdifferential with anything, a linear + N_C sum evaluator in either
+slot) is refused.
 """
 
 from __future__ import annotations
@@ -88,11 +90,11 @@ class ConeSumQP:
     which ``solve`` (the set's ``subspace_qp``) finds.  When the set
     refuses the QP (C cap D empty, or a ball that D != {0} only touches),
     the record is kept all the same: ``solve`` is None, ``refusal`` the
-    set's message, and :meth:`off_domain` still answers on Q."""
+    set's message, and :meth:`off_domain` still answers on Q.  The record
+    holds no reference to C, which weakly keys it on A."""
 
     q: np.ndarray        # (n, k)
     m: np.ndarray        # (n, k)
-    cset: object
     solve: object
     refusal: str = ""
 
@@ -104,9 +106,9 @@ class ConeSumQP:
         q = ops.dom_subspace(lin).basis
         m = lin.v_block @ np.linalg.pinv(q.T @ lin.u_block)
         try:
-            return cls(q, m, c, c.subspace_qp(q, 0.5 * (q.T @ m + m.T @ q)))
+            return cls(q, m, c.subspace_qp(q, 0.5 * (q.T @ m + m.T @ q)))
         except ops.UnsupportedOperatorError as exc:
-            return cls(q, m, c, None, str(exc))
+            return cls(q, m, None, str(exc))
 
     def supported(self) -> "ConeSumQP":
         """This QP; raises UnsupportedOperatorError, with the set's message,
@@ -134,11 +136,6 @@ class ConeSumQP:
         off_d = float(np.linalg.norm(x - self.q @ (self.q.T @ x)))
         return off_d > tol * (1.0 + float(np.linalg.norm(x)))
 
-    def evaluate(self, x, xs, tol=CARRIER_TOL) -> float:
-        if self.off_domain(x, tol) or not self.cset.contains(x, tol):
-            return math.inf
-        return self.maximiser(x, xs)[0]
-
 
 # ---------------------------------------------------------------------------
 # evaluators
@@ -148,8 +145,8 @@ class ConeSumQP:
 class FitzEvaluator:
     """Closed-form Fitzpatrick function of one zoo operator: a per-call view
     over ``data``, what the descriptors keep for it.  Each closed form is a
-    subclass with its value (``_value``, behind :meth:`evaluate`), its
-    maximiser (``_maximiser``) and its Douglas-Rachford piece (:meth:`dr_piece`)."""
+    subclass with its value (``_value``, behind :meth:`evaluate`) and its
+    maximiser (``_maximiser``)."""
 
     operator: ops.OperatorDescriptor
     data: object = None
@@ -166,13 +163,6 @@ class FitzEvaluator:
         value F(x, x*) where F is finite; None for a normal cone."""
         return self._maximiser(as_vector(x, self.dim), as_vector(xs, self.dim))
 
-    def dr_piece(self, x, y, first_slot):
-        """F(x, .) as (constant, piece in v), read at y - v in the first
-        slot and at v in the second; the constant is +inf for x off the
-        indicator part.  A linear + normal-cone sum has no piece."""
-        raise ops.UnsupportedOperatorError(
-            f"no partial inf-convolution piece for {type(self.operator).__name__}")
-
 
 class LinearFitz(FitzEvaluator):
     """A monotone linear map or relation, or a linear + linear sum: ``data``
@@ -185,13 +175,6 @@ class LinearFitz(FitzEvaluator):
         # (U t, V t), t = P c / 2; c'Pc/4 bounds F below off the carrier
         t = 0.5 * (self.data.p @ self.data.c_of(x, xs))
         return self.data.u @ t, self.data.v @ t
-
-    def dr_piece(self, x, y, first_slot):
-        cq = self.data
-        b = cq.v.T @ x
-        if first_slot:
-            return 0.0, _QuadPiece(cq, b + cq.u.T @ y, -1.0)
-        return 0.0, _QuadPiece(cq, b, +1.0)
 
     def cone_qp(self, c) -> ConeSumQP:
         """The :class:`ConeSumQP` of this operator plus N_C, kept by the
@@ -211,10 +194,13 @@ class LinearFitz(FitzEvaluator):
 
 class ConeSumFitz(FitzEvaluator):
     """A maximal linear A plus N_C: ``data`` is the kept :class:`ConeSumQP`;
-    the maximiser is the QP's."""
+    the maximiser is the QP's, and F is +inf off C cap dom A."""
 
     def _value(self, x, xs, tol):
-        return self.data.evaluate(x, xs, tol)
+        c = self.operator.linear_cone[1].set
+        if self.data.off_domain(x, tol) or not c.contains(x, tol):
+            return math.inf
+        return self.data.maximiser(x, xs)[0]
 
     def _maximiser(self, x, xs):
         return self.data.maximiser(x, xs)[1]
@@ -229,11 +215,6 @@ class NormalConeFitz(FitzEvaluator):
 
     def _maximiser(self, x, xs):
         return None
-
-    def dr_piece(self, x, y, first_slot):
-        if not self.data.contains(x, CARRIER_TOL):
-            return math.inf, None
-        return 0.0, _ProxPiece(self._prox, y if first_slot else None)
 
     def _prox(self, w, t):
         # Moreau: the support function's prox through projection onto C
@@ -250,14 +231,6 @@ class NormGraphFitz(FitzEvaluator):
     def _maximiser(self, x, xs):
         nx = float(np.linalg.norm(x))
         return np.zeros_like(x), x / nx if nx > 0 else np.zeros_like(x)
-
-    def dr_piece(self, x, y, first_slot):
-        return float(np.linalg.norm(x)), _ProxPiece(self._prox, y if first_slot else None)
-
-    def _prox(self, w, t):
-        # the dual unit ball's indicator: projection onto the ball
-        nw = float(np.linalg.norm(w))
-        return w if nw <= 1.0 else w / nw
 
 
 def fitz_evaluator(op: ops.OperatorDescriptor) -> FitzEvaluator:
@@ -507,77 +480,16 @@ class InfConvResult:
     """``witness`` is the minimising v (None where the value is +inf).
     ``inner_residual`` is the residual of the inner minimisation: for a
     linear + normal-cone pair the duality gap, the value less the cone-sum
-    QP's value; for two quadratic pieces the reduced gradient at v; for
-    Douglas-Rachford its last step.  ``sum_value`` is set on every result
-    of a linear + normal-cone pair: F of the sum A + N_C at the same point,
-    the value of the QP that gave the minimiser (+inf off C cap dom A);
-    None for the other pairs."""
+    QP's value; for two linear pieces the reduced gradient at v; for
+    N_C + N_C Douglas-Rachford's last step.  ``sum_value`` is set on every
+    result of a linear + normal-cone pair: F of the sum A + N_C at the same
+    point, the value of the QP that gave the minimiser (+inf off C cap
+    dom A); None for the other pairs."""
 
     value: float
     witness: Optional[np.ndarray]
     inner_residual: float
     sum_value: Optional[float] = None
-
-
-class _QuadPiece:
-    """phi(v) = (1/4) c' P c, c = a + sign * U'v, constrained to ran W."""
-
-    def __init__(self, cq: CarrierQuadratic, a, sign):
-        self.cq = cq
-        self.a = a
-        self.sign = float(sign)
-        nul = cq.null
-        if nul.shape[1]:
-            self.e = self.sign * (nul.T @ cq.u.T)
-            self.d = -(nul.T @ a)
-        else:
-            self.e = np.zeros((0, cq.u.shape[0]))
-            self.d = np.zeros(0)
-        self.hess = 0.5 * cq.u @ cq.p @ cq.u.T
-        self.lin = 0.5 * self.sign * (cq.u @ cq.p @ a)
-        self._prox_step = None
-
-    def feasible_point(self):
-        """Some v on the carrier, or None when the carrier is empty."""
-        if self.e.shape[0] == 0:
-            return np.zeros(self.cq.u.shape[0])
-        v, *_ = np.linalg.lstsq(self.e, self.d, rcond=None)
-        if float(np.linalg.norm(self.e @ v - self.d)) > \
-                CARRIER_TOL * (1.0 + float(np.linalg.norm(self.d))):
-            return None
-        return v
-
-    def prox(self, w, t):
-        """argmin phi(v) + ||v - w||^2 / (2 t) subject to the carrier.
-
-        The KKT matrix depends on t alone, so its minimum-norm inverse is
-        formed once per step and each call is one affine map of w."""
-        if self._prox_step != t:
-            n = w.shape[0]
-            m = self.e.shape[0]
-            kkt = np.zeros((n + m, n + m))
-            kkt[:n, :n] = self.hess + np.eye(n) / t
-            kkt[:n, n:] = self.e.T
-            kkt[n:, :n] = self.e
-            inv = np.linalg.pinv(kkt, rcond=(n + m) * np.finfo(float).eps)[:n]
-            self._prox_map = inv[:, :n] / t
-            self._prox_shift = inv[:, n:] @ self.d - inv[:, :n] @ self.lin
-            self._prox_step = t
-        return self._prox_map @ w + self._prox_shift
-
-
-class _ProxPiece:
-    """Nonsmooth piece with an exact prox: support function or ball
-    indicator, optionally precomposed with v -> y - v."""
-
-    def __init__(self, prox_plain, flip_y=None):
-        self.prox_plain = prox_plain
-        self.flip_y = flip_y
-
-    def prox(self, w, t):
-        if self.flip_y is None:
-            return self.prox_plain(w, t)
-        return self.flip_y - self.prox_plain(self.flip_y - w, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -652,14 +564,15 @@ def _norms(a):
     return np.sqrt(np.vecdot(a, a))
 
 
-def _douglas_rachford(pf, pg, y):
-    """Douglas-Rachford on f + g with exact proxes; returns (v, residual)."""
+def _douglas_rachford(prox_f, prox_g, y):
+    """Douglas-Rachford on f + g, given their exact proxes (w, t) -> v;
+    returns (v, residual)."""
     z = 0.5 * y
     v_f = z
     resid = math.inf
     for _ in range(DR_MAX_ITER):
-        v_g = pg.prox(z, DR_STEP)
-        v_f = pf.prox(2.0 * v_g - z, DR_STEP)
+        v_g = prox_g(z, DR_STEP)
+        v_f = prox_f(2.0 * v_g - z, DR_STEP)
         z = z + v_f - v_g
         resid = float(np.linalg.norm(v_f - v_g))
         if resid <= DR_TOL:
@@ -702,19 +615,22 @@ def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResul
     refused (dom A != {0} only touching a ball) at a point of C cap dom A,
     raises UnsupportedOperatorError.
 
-    Two quadratic pieces meet in an exact linear solve on the intersection
+    Two linear pieces meet in an exact linear solve on the intersection
     of their carriers, :class:`CarrierPair`, factored on the first call for
     the ordered pair of their linear forms and kept on the first, so that a
     point costs matrix-vector products (a linear + linear sum check solves
-    all its points in one :meth:`CarrierPair.solve` over their rows).  The
-    pairs left (N_C with N_C, and the p = 1 norm subdifferential with a
-    linear operator, N_C or itself) run Douglas-Rachford with exact proxes
-    (deterministic start at v = y/2).  A linear + normal-cone sum
-    evaluator in either slot has no piece and raises
-    UnsupportedOperatorError.  A +inf value (incompatible carriers, x
-    outside an indicator) is reported with no witness; failure to converge
-    raises :class:`SolverFailureError` instead of being passed off as
-    infinite.
+    all its points in one :meth:`CarrierPair.solve` over their rows).
+
+    N_C1 with N_C2 is +inf for x off C1 or C2; elsewhere it is the least
+    sigma_C1(y - v) + sigma_C2(v), which Douglas-Rachford finds from the
+    exact proxes of the two support functions (deterministic start at
+    v = y/2).  A +inf value (incompatible carriers, x outside a set) is
+    reported with no witness; failure to converge raises
+    :class:`SolverFailureError` instead of being passed off as infinite.
+
+    Every other pair of evaluators, such as the p = 1 norm subdifferential
+    with anything or a linear + normal-cone sum evaluator in either slot,
+    raises UnsupportedOperatorError before any work.
     """
     if f1.dim != f2.dim:
         raise ops.DimensionMismatchError("evaluators live in different spaces")
@@ -728,15 +644,14 @@ def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResul
         if not ok:
             return InfConvResult(math.inf, None, 0.0)
         resid = float(resid)
+    elif classes == {NormalConeFitz}:
+        if not (f1.data.contains(x, CARRIER_TOL) and f2.data.contains(x, CARRIER_TOL)):
+            return InfConvResult(math.inf, None, 0.0)
+        # v -> sigma_C1(y - v) and v -> sigma_C2(v)
+        vstar, resid = _douglas_rachford(lambda w, t: y - f1._prox(y - w, t), f2._prox, y)
     else:
-        c1, p1 = f1.dr_piece(x, y, first_slot=True)
-        c2, p2 = f2.dr_piece(x, y, first_slot=False)
-        if math.isinf(c1) or math.isinf(c2):
-            return InfConvResult(math.inf, None, 0.0)
-        # run DR with the quadratic piece (exact KKT prox) as f when present
-        pf, pg = (p2, p1) if isinstance(p2, _QuadPiece) else (p1, p2)
-        if isinstance(pf, _QuadPiece) and pf.feasible_point() is None:
-            return InfConvResult(math.inf, None, 0.0)
-        vstar, resid = _douglas_rachford(pf, pg, y)
+        raise ops.UnsupportedOperatorError(
+            f"no partial inf-convolution of {type(f1.operator).__name__} "
+            f"and {type(f2.operator).__name__}")
     value = f1.evaluate(x, y - vstar, tol=1e-7) + f2.evaluate(x, vstar, tol=1e-7)
     return InfConvResult(float(value), vstar, resid)

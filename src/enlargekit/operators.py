@@ -146,8 +146,8 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
-        if not self.radius > 0:
-            raise MalformedDescriptorError("ball radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise MalformedDescriptorError("ball radius must be positive and finite")
 
     @property
     def dim(self):
@@ -212,12 +212,14 @@ class Ball:
         s0 = q.T @ x0
         rho = math.sqrt(max(self.radius ** 2 - float(np.sum((self.center - x0) ** 2)), 0.0))
         lam, vecs = sym_eig(2.0 * hess)
+        center = self.center
 
         def solve(b):
-            # (2H + mu I) y = b - 2 H s0, so b - 2 H s = mu y = Q'(mu (Q s - c))
+            # (2H + mu I) y = b - 2 H s0, so b - 2 H s = mu y = Q'(mu (Q s - c));
+            # it holds no reference to the ball, which weakly keys the kept QP
             y, gap, mu = ball_qp(lam, vecs, b - 2.0 * hess @ s0, rho)
             s = s0 + y
-            return s, gap, mu * (q @ s - self.center)
+            return s, gap, mu * (q @ s - center)
         return solve
 
     def cone_values_at(self, x, ss):
@@ -310,10 +312,12 @@ class Box:
         if x0 is None:
             raise UnsupportedOperatorError("the subspace misses the box")
         hx, diam = 2.0 * q @ hess @ q.T, float(np.linalg.norm(self.hi - self.lo))
+        lo, hi = self.lo, self.hi
 
         def solve(b):
-            # the normal is minus the KKT vector hx x - Q b + Q_perp mu
-            x, kkt, mu = bounded_qp(hx, q @ b, self.lo, self.hi, x0, perp)
+            # the normal is minus the KKT vector hx x - Q b + Q_perp mu; like
+            # the ball's, it holds no reference to the box
+            x, kkt, mu = bounded_qp(hx, q @ b, lo, hi, x0, perp)
             s = q.T @ x
             return s, kkt * diam, q @ (b - 2.0 * hess @ s) - perp.T @ mu
         return solve
@@ -706,8 +710,8 @@ class NormSubdiffOp(_Subdifferential):
     def __post_init__(self):
         if self.dim < 1:
             raise MalformedDescriptorError("dimension must be >= 1")
-        if not self.p >= 1.0:
-            raise MalformedDescriptorError("exponent p must be >= 1")
+        if not 1.0 <= self.p < math.inf:
+            raise MalformedDescriptorError("exponent p must be finite and >= 1")
 
     def gradient(self, x) -> np.ndarray:
         """The single-valued selection at x != 0 (the unique value there)."""

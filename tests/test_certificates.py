@@ -303,11 +303,12 @@ def test_sum_maximality_rests_on_points_of_finite_value():
 
 def test_sum_exactness_counts_skipped_cone_points():
     # F of {0} x R is finite only at x = 0, so the inf-convolution is +inf
-    # at every test point of the interval off the origin
-    rep = sum_fitz_exactness(vertical_relation(), NormalConeOp(Box([-1.0], [1.0])),
-                             n_points=6)
-    assert rep.skipped_points > 0
-    assert rep.skipped_points + len(rep.exactness_witnesses) == rep.points_tested
+    # at every test point of the interval off the origin, and at the random
+    # points of {0} x R plus the zero map
+    for other in (NormalConeOp(Box([-1.0], [1.0])), LinearMapOp(np.zeros((1, 1)))):
+        rep = sum_fitz_exactness(vertical_relation(), other, n_points=9)
+        assert rep.skipped_points > 0
+        assert rep.skipped_points + len(rep.exactness_witnesses) == rep.points_tested
     linear = sum_fitz_exactness(LinearMapOp(np.eye(1)), LinearMapOp(np.eye(1)),
                                 n_points=6)
     assert linear.skipped_points == 0

@@ -69,10 +69,14 @@ def run_cli(*argv):
     return proc
 
 
+def _not_json(token):
+    pytest.fail(f"{token} in an envelope, which strict JSON has not")
+
+
 def run_json(*argv, expect=0):
     proc = run_cli(*argv)
     assert proc.returncode == expect, proc.stderr.decode()
-    doc = json.loads(proc.stdout.decode())
+    doc = json.loads(proc.stdout.decode(), parse_constant=_not_json)
     assert doc["schema"] == "v1"
     return doc
 
@@ -429,10 +433,12 @@ def test_sumcheck_reports_skipped_points(specs, tmp_path):
         "space_dim": 1,
         "operator": {"kind": "normal_cone",
                      "set": {"kind": "box", "lo": [-1], "hi": [1]}}})
-    doc = run_json("sumcheck", specs["vertical"], interval, "--points", "6")
-    res = doc["results"]
-    assert res["skipped_points"] > 0
-    assert res["skipped_points"] + res["finite_points"] == res["points_tested"]
+    zero = write_spec(tmp_path, "zero.json", {
+        "space_dim": 1, "operator": {"kind": "linear_map", "matrix": [[0]]}})
+    for other in (interval, zero):
+        res = run_json("sumcheck", specs["vertical"], other, "--points", "9")["results"]
+        assert res["skipped_points"] > 0
+        assert res["skipped_points"] + res["finite_points"] == res["points_tested"]
     linear = run_json("sumcheck", specs["id1"], specs["id1"], "--points", "6")
     assert linear["results"]["skipped_points"] == 0
 
@@ -491,6 +497,12 @@ _NOT_MONOTONE = "error: operator not monotone: "
     (["sumcheck", "{id1}", "{id1}", "--points", "-3"], 1, "error: --points must be at least 1"),
     (["fitz", "{id1}", "--point", "1,1", "--bruteforce", "10", "nan"], 1,
      "error: --bruteforce needs a positive count"),
+    # spec values out of range: p and a radius past the floats, a
+    # fractional dimension, and the Infinity token that strict JSON has not
+    (["classify", "{p_huge}"], 1, "error: cannot load operator spec"),
+    (["classify", "{radius_huge}"], 1, "error: cannot load operator spec"),
+    (["classify", "{half_dim}"], 1, "error: cannot load operator spec"),
+    (["classify", "{inf_token}"], 1, "error: cannot load operator spec"),
 ])
 def test_main_maps_each_error_to_its_exit_code(specs, tmp_path, capsys, argv, code, prefix):
     from enlargekit import cli
@@ -512,6 +524,15 @@ def test_main_maps_each_error_to_its_exit_code(specs, tmp_path, capsys, argv, co
         "space_dim": 2,
         "operator": {"kind": "normal_cone",
                      "set": {"kind": "box", "lo": [-1, 0.5], "hi": [1, 1.5]}}})
+    for name, text in (
+            ("p_huge", '{"space_dim": 2, "operator": {"kind": "norm_subdiff", "p": 1e400}}'),
+            ("radius_huge", '{"space_dim": 1, "operator": {"kind": "normal_cone", "set": '
+                            '{"kind": "ball", "center": [0], "radius": 1e400}}}'),
+            ("half_dim", '{"space_dim": 2.5, "operator": {"kind": "linear_map", '
+                         '"matrix": [[1, 0], [0, 1]]}}'),
+            ("inf_token", '{"space_dim": 2, "operator": {"kind": "norm_subdiff", "p": Infinity}}')):
+        (tmp_path / f"{name}.json").write_text(text)
+        paths[name] = str(tmp_path / f"{name}.json")
     assert cli.main([a.format(**paths) for a in argv]) == code
     out = capsys.readouterr()
     assert out.out == ""

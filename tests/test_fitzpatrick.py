@@ -11,9 +11,11 @@ from enlargekit.operators import (
     NormSubdiffOp,
     NormalConeOp,
     SumOp,
+    UnsupportedOperatorError,
     graph_member,
     sample_graph,
 )
+from enlargekit import fitzpatrick as fz
 from enlargekit.fitzpatrick import (
     FitzEvaluator,
     InfConvResult,
@@ -397,55 +399,19 @@ def test_infconv_of_two_box_cones_is_the_intersection_cone():
                 assert partial_inf_conv(f2, f1, off, y).witness is None
 
 
-def test_infconv_of_an_interval_cone_and_the_p1_norm_graph():
-    # F of d|.| is |x| + indicator(|v| <= 1), so at x in [lo, hi] the
-    # inf-convolution with N_[lo, hi] is |x| plus the least support value
-    # sigma(y - v) over |v| <= 1, a convex piecewise linear function of v
-    # whose least value is at -1, 1 or its kink v = y
-    rng = np.random.default_rng(24)
-    f_abs = fitz_evaluator(NormSubdiffOp(dim=1, p=1.0))
-    for _ in range(6):
-        lo = rng.uniform(-2.0, 0.0, 1)
-        hi = lo + rng.uniform(0.5, 2.0, 1)
-        f_box = fitz_evaluator(NormalConeOp(Box(lo, hi)))
-        x, y = rng.uniform(lo, hi), 3.0 * rng.normal(size=1)
-        want = abs(float(x[0])) + min(_box_support(lo, hi, y - v)
-                                      for v in (-1.0, 1.0, float(np.clip(y[0], -1.0, 1.0))))
-        for fa, fb in ((f_box, f_abs), (f_abs, f_box)):
-            assert partial_inf_conv(fa, fb, x, y).value == pytest.approx(want, rel=1e-7, abs=1e-7)
+def test_the_p1_norm_graph_has_no_partial_inf_convolution(monkeypatch):
+    # no sum theorem pairs d||.|| with anything: refused before any
+    # iteration, in either slot
+    def refuse(*args):
+        raise AssertionError("Douglas-Rachford on a pair with the p = 1 norm graph")
 
-
-def _lstsq_prox(piece, w, t):
-    """The KKT solve of the quadratic piece's prox, one lstsq per call."""
-    n, m = w.shape[0], piece.e.shape[0]
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = piece.hess + np.eye(n) / t
-    kkt[:n, n:] = piece.e.T
-    kkt[n:, :n] = piece.e
-    rhs = np.concatenate([w / t - piece.lin, piece.d])
-    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:n]
-
-
-def test_factored_quad_prox_matches_the_kkt_solve():
-    from enlargekit.fitzpatrick import _QuadPiece
-
-    rng = np.random.default_rng(8)
-    for n in (1, 2, 3, 5):
-        g = rng.normal(size=(n, n))
-        k = rng.normal(size=(n, n))
-        full = LinearMapOp(g @ g.T + 0.5 * (k - k.T)).carrier
-        skew = LinearMapOp(0.5 * (k - k.T)).carrier  # carrier rows: W = 0
-        for cq in (full, skew):
-            assert (cq.null.shape[1] > 0) == (cq is skew)
-            for sign in (-1.0, 1.0):
-                piece = _QuadPiece(cq, rng.normal(size=cq.u.shape[1]), sign)
-                for t in (1.0, 0.3, 1.0):
-                    for _ in range(3):
-                        w = rng.normal(size=n)
-                        np.testing.assert_allclose(piece.prox(w, t), _lstsq_prox(piece, w, t),
-                                                   rtol=0, atol=1e-12)
-    rel = vertical_relation().carrier
-    piece = _QuadPiece(rel, np.array([0.7]), 1.0)
-    assert piece.e.shape[0] == 1
-    np.testing.assert_allclose(piece.prox(np.array([0.4]), 1.0),
-                               _lstsq_prox(piece, np.array([0.4]), 1.0), rtol=0, atol=1e-12)
+    monkeypatch.setattr(fz, "_douglas_rachford", refuse)
+    f_norm = fitz_evaluator(NormSubdiffOp(dim=2, p=1.0))
+    others = [fitz_evaluator(op) for op in (
+        LinearMapOp(np.array([[2.0, -1.0], [1.0, 1.0]])), LinearMapOp(ROT90),
+        NormalConeOp(Box(-np.ones(2), np.ones(2))))] + [f_norm]
+    x, y = np.array([0.1, 0.2]), np.array([2.5, 0.0])
+    for other in others:
+        for f1, f2 in ((f_norm, other), (other, f_norm)):
+            with pytest.raises(UnsupportedOperatorError, match="NormSubdiffOp"):
+                partial_inf_conv(f1, f2, x, y)

@@ -211,9 +211,15 @@ def test_a_kept_sum_goes_with_its_second_summand():
         a, b = random_monotone_matrix(4, rng), _skew(rng, 4)
         assert sum_fitz_exactness(a, b, n_points=6, seed=0).max_gap <= 1e-9
         refs = [weakref.ref(o) for o in _kept_sums(a, b)]
-        assert len(a.__dict__["sums"]) == 1
-        del b
-        assert [r() for r in refs] == [None, None]
+        # a set C too: the cone-sum QP that a keeps for it holds no C
+        sets = [Box(-np.ones(4), np.ones(4)), ops.Ball(np.full(4, 0.1), 1.0),
+                ops.Polytope((*np.eye(4), -np.ones(4)))]
+        for c in sets:
+            fitz_evaluator(SumOp((a, NormalConeOp(c))))
+            refs.append(weakref.ref(fitz_evaluator(a).cone_qp(c)))
+        assert len(a.__dict__["sums"]) == 4
+        del b, c, sets
+        assert [r() for r in refs] == [None] * 5
         assert len(a.__dict__["sums"]) == 0
         assert a.validate().maximal
     finally:
