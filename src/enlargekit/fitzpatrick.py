@@ -31,10 +31,12 @@ linear + linear sums, on the kept carrier), :class:`ConeSumFitz` (linear
 :class:`NormGraphFitz` (p = 1).  Each gives its value and its maximiser.
 
 The sampled oracle ``fitz_bruteforce`` maximizes the defining supremum
-over deterministic graph samples, optionally polished by the evaluator's
-maximiser (:meth:`FitzEvaluator.maximiser`), or for p > 1, which has no
-evaluator, a 1-D radius search.  It always returns a lower bound of the
-true value.
+over one deterministic graph sample, optionally polished by the
+evaluator's maximiser (:meth:`FitzEvaluator.maximiser`), or for p > 1,
+which has no evaluator, a 1-D radius search.  It always returns a lower
+bound of the true value.  Its divergence check reads the sups at twice
+and four times the radius off that sample, scaled as ``sample_scaling``
+declares; translations and non-linear sums draw those radii afresh.
 
 The partial inf-convolution ``partial_inf_conv`` has three paths, picked
 by the pair of evaluator classes.  A linear A with N_C, the pair of the
@@ -314,14 +316,24 @@ def _objective(x, xs):
     return f
 
 
-def _sampled_sup(op, x, xs, count, radius, seed):
-    """Largest <x, a*> + <a, xs> - <a, a*> over one graph sample, and the
-    first pair that attains it."""
+def _sampled_sup(op, x, xs, count, radius, seed, scales=()):
+    """Largest <x, a*> + <a, xs> - <a, a*> over one graph sample, the first
+    pair that attains it, and the list of the sups at radius s * radius for
+    each s in ``scales``.  A kind with a ``sample_scaling`` (alpha, beta)
+    gives those off the same rows, each scaled to (s^alpha a, s^beta a*);
+    any other kind draws each radius afresh."""
     pairs = ops.sample_graph(op, count, radius, seed)
     a, astar = pairs[:, 0], pairs[:, 1]
-    vals = astar @ x + a @ xs - np.einsum("ij,ij->i", a, astar)
+    t1, t2, t3 = astar @ x, a @ xs, np.einsum("ij,ij->i", a, astar)
+    vals = t1 + t2 - t3
     k = int(np.argmax(vals))
-    return float(vals[k]), (a[k].copy(), astar[k].copy())
+    if op.sample_scaling is None:
+        sups = [_sampled_sup(op, x, xs, count, s * radius, seed)[0] for s in scales]
+    else:
+        al, be = op.sample_scaling
+        sups = [float(np.max(s ** be * t1 + s ** al * t2 - s ** (al + be) * t3))
+                for s in scales]
+    return float(vals[k]), (a[k].copy(), astar[k].copy()), sups
 
 
 def golden_section(h, lo, hi, iters=80):
@@ -437,14 +449,17 @@ def fitz_bruteforce(op, x, xs, count=10000, radius=10.0, seed=0, polish=True,
     maximiser), so a finite F of a linear map or relation, a sum with a
     closed form or a norm subdifferential is attained up to rounding.  The
     result is always a lower bound of the true F; ``diverging`` flags the
-    indicator-type +inf suspicion from the sups at radius x1, x2 and x4.
-    The x1 sup is the first pass, so a call draws 3 * ``count`` pairs with
-    the divergence check and ``count`` without it.
+    indicator-type +inf suspicion from the sampled sups at radius x1, x2
+    and x4 (``trend``).  A call draws ``count`` pairs: the x2 and x4 sups
+    are read off the x1 sample, scaled by the kind's ``sample_scaling``,
+    except for translations and non-linear sums, which draw 3 * ``count``
+    pairs with the divergence check.
     """
     x = as_vector(x, op.dim)
     xs = as_vector(xs, op.dim)
     obj = _objective(x, xs)
-    best, best_pair = _sampled_sup(op, x, xs, count, radius, seed)
+    best, best_pair, sups = _sampled_sup(op, x, xs, count, radius, seed,
+                                         (2, 4) if divergence_check else ())
     sup_1x = best
     if ops.graph_member(op, x, xs, tol=CARRIER_TOL):
         v = obj(x, xs)
@@ -457,9 +472,7 @@ def fitz_bruteforce(op, x, xs, count=10000, radius=10.0, seed=0, polish=True,
     trend = [(radius, best)]
     diverging = False
     if divergence_check:
-        trend = [(radius, sup_1x)] + [
-            (radius * (2 ** k), _sampled_sup(op, x, xs, count, radius * (2 ** k), seed)[0])
-            for k in (1, 2)]
+        trend = [(radius, sup_1x), (2 * radius, sups[0]), (4 * radius, sups[1])]
         diverging = _diverging(trend)
     return BruteForceResult(value=best, best_pair=best_pair,
                             diverging=diverging, trend=tuple(trend))

@@ -40,6 +40,7 @@ identical results.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -500,7 +501,11 @@ def support_function(c: ConvexSetDescriptor, u) -> float:
 # ---------------------------------------------------------------------------
 
 class _Descriptor:
-    """``validate()`` returns ``_report()``, kept after first use."""
+    """``validate()`` returns ``_report()``, kept after first use.
+    ``sample_scaling`` (:func:`sample_graph`) is None where the sample at
+    one radius is no scaled copy of another (translations, non-linear sums)."""
+
+    sample_scaling = None
 
     def validate(self) -> "ValidationReport":
         return self._kept("report", self._report)
@@ -575,6 +580,8 @@ class CarrierQuadratic:
 
 class _Linear(_Descriptor):
     """Maps and relations: every verdict reads the graph chart (U, V)."""
+
+    sample_scaling = (1, 1)
 
     @property
     def carrier(self) -> CarrierQuadratic:
@@ -713,6 +720,11 @@ class NormSubdiffOp(_Subdifferential):
         if not 1.0 <= self.p < math.inf:
             raise MalformedDescriptorError("exponent p must be finite and >= 1")
 
+    @property
+    def sample_scaling(self):
+        # for p = 1 the kink rows' magnitudes do not depend on the radius
+        return (1, self.p - 1.0)
+
     def gradient(self, x) -> np.ndarray:
         """The single-valued selection at x != 0 (the unique value there)."""
         x = as_vector(x, self.dim)
@@ -755,6 +767,7 @@ class NormalConeOp(_Subdifferential):
     """Normal cone operator of a bounded closed convex set."""
 
     set: ConvexSetDescriptor
+    sample_scaling = (0, 1)
 
     @property
     def dim(self):
@@ -825,6 +838,10 @@ class SumOp(_Descriptor):
     @property
     def dim(self):
         return self.terms[0].dim
+
+    @property
+    def sample_scaling(self):
+        return None if self.relation is None else self.relation.sample_scaling
 
     def _report(self):
         if self.relation is not None:
@@ -1337,10 +1354,23 @@ def sample_graph(op: OperatorDescriptor, count, radius, seed) -> np.ndarray:
     ``np.random.SeedSequence(seed)``, cyclic patterns follow the row index,
     and the low-discrepancy half is the unscrambled Halton sequence by
     index.  Sampled suprema are therefore monotone in ``count``.
+
+    A kind with ``op.sample_scaling`` = (alpha, beta) gives at radius s r
+    the rows (s^alpha x, s^beta x*) of its radius-r sample, from the same
+    seeded directions, Halton points and uniforms: (1, 1) for maps,
+    relations and linear + linear sums, (1, p - 1) for the p-norm
+    subdifferential (the p = 1 kink rows keep their magnitudes) and (0, 1)
+    for N_C; bitwise for s a power of two and integer exponents, as such a
+    factor scales every rounded operation exactly.  ``count`` is a positive
+    integer (a numpy integer too).
     """
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise ValueError("count must be a positive integer") from None
     if count <= 0:
-        raise ValueError("count must be positive")
+        raise ValueError("count must be a positive integer")
     if not (radius > 0 and math.isfinite(radius)):
         raise ValueError("radius must be positive and finite")
-    x, xs = op.sample(int(count), float(radius), np.random.SeedSequence(seed))
+    x, xs = op.sample(count, float(radius), np.random.SeedSequence(seed))
     return np.stack([x, xs], axis=1)

@@ -1,6 +1,7 @@
 """The graph sampler's contract: array shape, prefix stability, graph
-membership for every operator kind, the Halton radical inverse, and the
-number of pairs one oracle call draws."""
+membership for every operator kind, the Halton radical inverse, the
+declared scaling of a sample with its radius, and the number of pairs one
+oracle call draws."""
 
 import math
 import subprocess
@@ -100,7 +101,14 @@ def test_halton_columns_use_the_first_primes():
         np.testing.assert_array_equal(h[:, j], ops._radical_inverse(range(10), base))
 
 
-def test_bruteforce_draws_three_passes(monkeypatch):
+# the kinds whose sample is not a scaled copy at every radius
+UNSCALED = {"map + box cone", "ball cone + map", "{0} x R + interval cone",
+            "box cone + (map + p = 1 norm)", "translated map", "translated relation"}
+ONE_PASS = ("linear map", "linear relation", "map + map", "norm p = 1", "norm p = 1.5",
+            "box cone")
+
+
+def _counted_draws(monkeypatch):
     drawn = []
     real = ops.sample_graph
 
@@ -110,14 +118,61 @@ def test_bruteforce_draws_three_passes(monkeypatch):
         return out
 
     monkeypatch.setattr(ops, "sample_graph", counting)
-    res = fitz_bruteforce(LinearMapOp(np.eye(2)), [1.0, 0.0], [0.0, 1.0],
-                          count=500, radius=4.0, seed=0)
-    assert sum(drawn) == 3 * 500
+    return drawn
+
+
+def _query(op):
+    return np.full(op.dim, 0.5), np.linspace(-1.0, 2.0, op.dim)
+
+
+@pytest.mark.parametrize("name", ONE_PASS + ("translated map", "map + box cone"))
+def test_bruteforce_draws_one_pass_unless_the_kind_has_no_sample_scaling(monkeypatch, name):
+    op = SAMPLED_KINDS[name]
+    drawn = _counted_draws(monkeypatch)
+    res = fitz_bruteforce(op, *_query(op), count=500, radius=4.0, seed=0)
     assert len(res.trend) == 3
-    drawn.clear()
-    fitz_bruteforce(LinearMapOp(np.eye(2)), [1.0, 0.0], [0.0, 1.0],
-                    count=500, radius=4.0, seed=0, divergence_check=False)
-    assert sum(drawn) == 500
+    assert sum(drawn) == (500 if name in ONE_PASS else 3 * 500)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_KINDS))
+def test_bruteforce_without_the_divergence_check_draws_one_pass(monkeypatch, name):
+    op = SAMPLED_KINDS[name]
+    drawn = _counted_draws(monkeypatch)
+    fitz_bruteforce(op, *_query(op), count=500, radius=4.0, seed=0, divergence_check=False)
+    assert drawn == [500]
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_KINDS))
+def test_only_translations_and_non_linear_sums_have_no_sample_scaling(name):
+    assert (SAMPLED_KINDS[name].sample_scaling is None) == (name in UNSCALED)
+
+
+def _assert_agree(got, want, exact):
+    if exact:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+
+@pytest.mark.parametrize("s", [2, 4])
+@pytest.mark.parametrize("name", sorted(set(SAMPLED_KINDS) - UNSCALED))
+def test_the_sample_at_a_scaled_radius_is_the_scaled_sample(name, s):
+    # the sampler's contract that fitz_bruteforce reads its x2 and x4 sups
+    # off: bitwise for integer exponents, since s is a power of two
+    op = SAMPLED_KINDS[name]
+    al, be = op.sample_scaling
+    exact = float(al).is_integer() and float(be).is_integer()
+    base = sample_graph(op, 60, 3.0, seed=7)
+    scaled = np.stack([s ** al * base[:, 0], s ** be * base[:, 1]], axis=1)
+    _assert_agree(sample_graph(op, 60, s * 3.0, seed=7), scaled, exact)
+    for x, xs in scaled:
+        assert graph_member(op, x, xs, tol=1e-8), (name, x, xs)
+    # the trend's sup at s R is the sup over a draw at radius s R
+    x, xs = _query(op)
+    trend = dict(fitz_bruteforce(op, x, xs, count=60, radius=3.0, seed=7).trend)
+    a, astar = sample_graph(op, 60, s * 3.0, seed=7).transpose(1, 0, 2)
+    drawn_sup = np.max(astar @ x + a @ xs - np.einsum("ij,ij->i", a, astar))
+    _assert_agree(trend[s * 3.0], drawn_sup, exact)
 
 
 def test_cli_import_and_sampling_leave_scipy_stats_unloaded():
@@ -141,3 +196,17 @@ def test_a_non_finite_or_nonpositive_radius_is_refused(radius):
         sample_graph(op, 10, radius, 0)
     with pytest.raises(ValueError, match="radius must be positive and finite"):
         fitz_bruteforce(op, [1.0, 0.0], [0.5, 0.0], count=10, radius=radius)
+
+
+@pytest.mark.parametrize("count", [0.5, 2.7, 0, -3])
+def test_a_non_integer_or_nonpositive_count_is_refused(count):
+    # count 0.5 raised numpy's argmax of an empty sequence, and 2.7 drew 2
+    op = NormSubdiffOp(2, 1.5)
+    with pytest.raises(ValueError, match="count must be a positive integer"):
+        sample_graph(op, count, 1.0, 0)
+    with pytest.raises(ValueError, match="count must be a positive integer"):
+        fitz_bruteforce(op, [1.0, 0.0], [0.5, 0.0], count=count)
+
+
+def test_a_numpy_integer_count_is_accepted():
+    assert sample_graph(NormSubdiffOp(2, 1.5), np.int64(3), 1.0, 0).shape == (3, 2, 2)
