@@ -38,9 +38,6 @@ from .fitzpatrick import fitz_evaluator, pairing, partial_inf_conv
 from .linalg import Subspace, as_vector, contains as span_contains
 from .operators import interior_domain_check, set_extent, split_linear_cone
 
-SIDE_CLAIM_TOL = 1e-10
-INCLUSION_TOL = 1e-9
-
 # Halvings of the witness step along aff dom before giving up (the step
 # enters the 1/2-enlargement once it is small, F being continuous there).
 WITNESS_HALVINGS = 60
@@ -72,12 +69,12 @@ def non_enlargeable_linear_relation(r: ops.LinearRelationOp) -> NonEnlargeableCe
     ops.require_maximal(r)
     n = r.dim
     neg_adj = ops.neg_adjoint_graph(r.graph)
-    verdict = span_contains(r.graph, neg_adj, tol=INCLUSION_TOL)
+    verdict = span_contains(r.graph, neg_adj)
     if verdict:
         worst = 0.0
         for col in neg_adj.basis.T:
             worst = max(worst, abs(float(col[:n] @ col[n:])))
-        if worst > SIDE_CLAIM_TOL:
+        if worst > ops.MONOTONE_TOL:
             raise RuntimeError(
                 f"pairing {worst:.3e} on gra(-A*) contradicts the criterion")
         return NonEnlargeableCertificate(
@@ -85,7 +82,7 @@ def non_enlargeable_linear_relation(r: ops.LinearRelationOp) -> NonEnlargeableCe
             f"gra(-A*) inside gra A; max |<x,x*>| on gra(-A*) = {worst:.2e}")
     witness = None
     for col in neg_adj.basis.T:
-        if not r.graph.contains_vector(col, tol=INCLUSION_TOL):
+        if not r.graph.contains_vector(col):
             witness = (col[:n].copy(), col[n:].copy())
             break
     return NonEnlargeableCertificate(
@@ -250,12 +247,6 @@ def fitz_singleton_check(op, n_samples=150, seed=0) -> SingletonCheckReport:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class MaximalityCertificate:
-    maximal: Optional[bool]  # None = undetermined (a term not maximal, or no linear term)
-    detail: str = ""
-
-
-@dataclass(frozen=True, eq=False)
 class SumCheckReport:
     max_gap: float
     points_tested: int
@@ -268,16 +259,16 @@ class SumCheckReport:
     sum_op: Optional[ops.SumOp] = field(default=None, repr=False)  # the sum checked
 
 
-def sum_maximality(a, b) -> MaximalityCertificate:
-    """Maximality of A + B, as :func:`operators.validate` decides it: by the
-    dimension of the sum graph for linear + linear; for a maximal linear A
-    plus N_C, by whether dom A meets C (box, polytope) or int C (ball, or
-    dom A = {0})."""
+def sum_maximality(a, b) -> ops.ValidationReport:
+    """The :func:`operators.validate` report of A + B, whose ``maximal`` is
+    exact: the dimension of the sum graph for linear + linear; for a
+    maximal linear A plus N_C, whether dom A meets C (box, polytope) or
+    int C (ball, or dom A = {0}).  Raises NotMonotoneError when the linear
+    term of a cone sum is not monotone."""
     sum_op = ops.SumOp((a, b))
     if sum_op.relation is None:
         ops.require_monotone(split_linear_cone(sum_op)[0])
-    rep = ops.validate(sum_op)
-    return MaximalityCertificate(rep.maximal, rep.detail)
+    return ops.validate(sum_op)
 
 
 def _sum_points(op: ops.SumOp, n_points, seed):
@@ -333,28 +324,6 @@ def _sum_points(op: ops.SumOp, n_points, seed):
     return np.array(pts).reshape(n_points, 2, n)
 
 
-def _linear_sum_gaps(fa, fb, sum_op, points):
-    """(max_gap, witnesses, skipped) of a linear + linear sum check, with
-    both sides at every point in one pass over the rows of ``points``: the
-    right side from one :meth:`CarrierPair.solve`, the left from the sum
-    relation's carrier.  A point where both sides are +inf is skipped; the
-    first where exactly one is sets the gap to +inf and ends the check."""
-    z, zs = points[:, 0], points[:, 1]
-    vstar, resid, ok = fa.carrier_pair(fb).solve(z, zs)
-    rhs = np.where(ok, fa.data.evaluate(z, zs - vstar, tol=1e-7)
-                   + fb.data.evaluate(z, vstar, tol=1e-7), math.inf)
-    lhs = fitz_evaluator(sum_op).data.evaluate(z, zs)
-    inf_r, inf_l = np.isinf(rhs), np.isinf(lhs)
-    mismatch = np.flatnonzero(inf_r != inf_l)
-    stop = mismatch[0] if mismatch.size else len(points)
-    finite = np.flatnonzero(~(inf_r | inf_l)[:stop])
-    witnesses = [(int(i), vstar[i], float(resid[i])) for i in finite]
-    skipped = int(np.sum((inf_r & inf_l)[:stop]))
-    if mismatch.size:
-        return math.inf, witnesses, skipped
-    return float(np.abs(lhs[finite] - rhs[finite]).max(initial=0.0)), witnesses, skipped
-
-
 def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
     """Compare F of the sum against the partial inf-convolution of the
     summands at sampled points, recording the worst gap and the exactness
@@ -363,19 +332,23 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
     The left side is the closed form of F of the sum
     (:func:`fitz_evaluator`): the sum relation's for linear + linear, the QP
     over C cap dom A for linear + normal cone.  Linear + linear takes all
-    the points as rows at once: one :meth:`CarrierPair.solve` gives the
-    right side's minimisers, and each carrier evaluates its side over the
-    rows (:func:`_linear_sum_gaps`).  The right side of a cone sum
-    is that QP's dual, built from the summands (:func:`partial_inf_conv`) on
-    the QP that A keeps, and the left side is read off the same solve
+    the points as rows at once: one :meth:`CarrierPair.inf_conv` gives the
+    right side and its minimisers, and the sum relation's carrier the left
+    side.  The right side of a cone sum is that QP's dual, built from the
+    summands (:func:`partial_inf_conv`) on the QP that A keeps, one point
+    at a time, and the left side is read off the same solve
     (``sum_value``, set on every result): one QP solve per point.  A QP
     the set refused is kept all the same, and both sides are +inf at every
     point off dom A (dom A misses C, or a ball touched by dom A at a point
     the samples miss); A not maximal, or a sample at the touching point,
-    raises UnsupportedOperatorError.  A point where exactly one side is +inf sets
-    ``max_gap`` to +inf.  Points before it where both sides are +inf count
-    as ``skipped_points``.  A violated hypothesis flags the report as
-    advisory but the check still runs.
+    raises UnsupportedOperatorError.
+
+    One rule reads the two sides of both theorems, point by point in order:
+    a point where both sides are +inf counts as skipped; the first where
+    exactly one is sets ``max_gap`` to +inf and ends the check, so no later
+    point is solved or counted; every other point adds its gap to
+    ``max_gap`` and its witness (index, v*, residual).  A violated
+    hypothesis flags the report as advisory but the check still runs.
 
     ``maximality`` is the exact verdict of :func:`sum_maximality`, and
     ``sum_op`` the sum, for callers that go on to certify it.  Fewer than
@@ -397,20 +370,24 @@ def sum_fitz_exactness(a, b, n_points=100, seed=0) -> SumCheckReport:
         notes = f"interior-domain check: {hypothesis_ok}"
     points = _sum_points(sum_op, n_points, seed)
     if both_linear:
-        max_gap, witnesses, skipped = _linear_sum_gaps(fa, fb, sum_op, points)
+        z, zs = points[:, 0], points[:, 1]
+        rhs, vstar, resid, _ = fa.carrier_pair(fb).inf_conv(z, zs)
+        lhs = fitz_evaluator(sum_op).data.evaluate(z, zs)
+        sides = zip(lhs.tolist(), rhs.tolist(), vstar, resid.tolist())
     else:
-        max_gap, witnesses, skipped = 0.0, [], 0
-        for idx, (z, zs) in enumerate(points):
-            rhs = partial_inf_conv(fa, fb, z, zs)
-            lhs = rhs.sum_value
-            if math.isinf(rhs.value) and math.isinf(lhs):
-                skipped += 1
-                continue
-            if math.isinf(rhs.value) != math.isinf(lhs):
-                max_gap = math.inf
-                break
-            max_gap = max(max_gap, abs(lhs - rhs.value))
-            witnesses.append((idx, rhs.witness, rhs.inner_residual))
+        # a generator: a point past the end of the check is never solved
+        sides = ((r.sum_value, r.value, r.witness, r.inner_residual)
+                 for r in (partial_inf_conv(fa, fb, z, zs) for z, zs in points))
+    max_gap, witnesses, skipped = 0.0, [], 0
+    for idx, (lhs, rhs, vstar, resid) in enumerate(sides):
+        if math.isinf(lhs) and math.isinf(rhs):
+            skipped += 1
+        elif math.isinf(lhs) != math.isinf(rhs):
+            max_gap = math.inf
+            break
+        else:
+            max_gap = max(max_gap, abs(lhs - rhs))
+            witnesses.append((idx, vstar, resid))
     return SumCheckReport(
         max_gap=max_gap, points_tested=len(points),
         exactness_witnesses=witnesses,

@@ -199,10 +199,26 @@ def cmd_classify(args):
 # fitz
 # ---------------------------------------------------------------------------
 
+def _parse_bruteforce(count_text, radius_text):
+    """(count, radius) of ``--bruteforce COUNT RADIUS``."""
+    what = "--bruteforce needs a positive count and a positive finite radius"
+    try:
+        count = int(count_text)
+    except ValueError:
+        count = 0
+    if count <= 0:
+        raise InputError(f"{what}: COUNT takes a positive integer, not {count_text!r}")
+    try:
+        radius = float(radius_text)
+    except ValueError:
+        radius = math.nan
+    if not (math.isfinite(radius) and radius > 0):
+        raise InputError(f"{what}: RADIUS takes a positive finite number, not {radius_text!r}")
+    return count, radius
+
+
 def cmd_fitz(args):
-    count, radius = int(args.bruteforce[0]), float(args.bruteforce[1])
-    if count <= 0 or not (math.isfinite(radius) and radius > 0):
-        raise InputError("--bruteforce needs a positive count and a positive finite radius")
+    count, radius = _parse_bruteforce(*args.bruteforce)
     op, raw = load_spec(args.spec)
     n = op.dim
     point = _parse_floats(args.point, 2 * n, "--point")
@@ -213,7 +229,7 @@ def cmd_fitz(args):
     gap = None
     if closed is not None and math.isfinite(closed):
         gap = closed - brute.value
-        anomaly = anomaly or gap > BRUTEFORCE_GAP_ADVISORY or gap < -1e-9
+        anomaly = anomaly or gap > BRUTEFORCE_GAP_ADVISORY or gap < -enl.SLACK_TOL
     results = {
         "point": {"x": x, "xs": xs},
         "pairing": pairing(x, xs),
@@ -252,8 +268,11 @@ def _write_boundary_csv(path, x, points):
     lines = [header]
     for p in points:
         lines.append(",".join(repr(float(v)) for v in list(x) + list(p)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise InputError(f"--csv: cannot write {path}: {exc}") from exc
 
 
 def cmd_enlarge(args):
@@ -262,8 +281,9 @@ def cmd_enlarge(args):
     n = op.dim
     if (args.point is None) == (args.slice_at is None):
         raise InputError("exactly one of --point and --slice-at is required")
-    tol = {"membership": enl.SLACK_TOL,
-           "boundary_probe": 1e-6}
+    if args.csv and args.point is not None:
+        raise InputError("--csv writes slice boundary samples: it needs --slice-at, not --point")
+    tol = {"membership": enl.SLACK_TOL}
     if args.point is not None:
         point = _parse_floats(args.point, 2 * n, "--point")
         x, xs = point[:n], point[n:]
@@ -336,8 +356,7 @@ def cmd_sumcheck(args):
         "non_enlargeable": non_enl,
         "notes": report.notes,
     }
-    tol = {"membership": enl.SLACK_TOL, "sumcheck": args.tol,
-           "witness_residual": 1e-8}
+    tol = {"membership": enl.SLACK_TOL, "sumcheck": args.tol}
     emit("sumcheck", _digest(raw_a, raw_b), args.seed, tol, results)
     if report.max_gap > args.tol:
         return EXIT_ANOMALY
@@ -386,7 +405,7 @@ def build_parser():
     p.add_argument("--point", help="2n comma-separated floats: x then xs")
     p.add_argument("--slice-at", dest="slice_at",
                    help="n comma-separated floats")
-    p.add_argument("--csv", help="write slice boundary samples to this path")
+    p.add_argument("--csv", help="with --slice-at, write slice boundary samples to this path")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_enlarge)
 

@@ -31,12 +31,13 @@ linear + linear sums, on the kept carrier), :class:`ConeSumFitz` (linear
 :class:`NormGraphFitz` (p = 1).  Each gives its value and its maximiser.
 
 The sampled oracle ``fitz_bruteforce`` maximizes the defining supremum
-over one deterministic graph sample, optionally polished by the
-evaluator's maximiser (:meth:`FitzEvaluator.maximiser`), or for p > 1,
-which has no evaluator, a 1-D radius search.  It always returns a lower
-bound of the true value.  Its divergence check reads the sups at twice
-and four times the radius off that sample, scaled as ``sample_scaling``
-declares; translations and non-linear sums draw those radii afresh.
+over one deterministic graph sample, the query pair when it is a graph
+point, and the evaluator's maximiser (:meth:`FitzEvaluator.maximiser`),
+or for p > 1, which has no evaluator, a 1-D radius search.  It always
+returns a lower bound of the true value.  Its divergence check reads the
+sups at twice and four times the radius off that sample, scaled as
+``sample_scaling`` declares; translations and non-linear sums draw those
+radii afresh.
 
 The partial inf-convolution ``partial_inf_conv`` has three paths, picked
 by the pair of evaluator classes.  A linear A with N_C, the pair of the
@@ -307,7 +308,7 @@ class BruteForceResult:
     value: float
     best_pair: tuple
     diverging: bool
-    trend: tuple  # ((radius, sampled sup), ...) used by the detector
+    trend: tuple  # ((R, sup), (2R, sup), (4R, sup)): the raw sampled sups
 
 
 def _objective(x, xs):
@@ -435,47 +436,38 @@ def _diverging(trend) -> bool:
     return s[1] >= _DIV_FACTOR_STEP * s[0] and s[2] >= _DIV_FACTOR_STEP * s[1]
 
 
-def fitz_bruteforce(op, x, xs, count=10000, radius=10.0, seed=0, polish=True,
-                    divergence_check=True) -> BruteForceResult:
+def fitz_bruteforce(op, x, xs, count=10000, radius=10.0, seed=0) -> BruteForceResult:
     """Sampled supremum defining the Fitzpatrick function.
 
     Deterministic for a fixed seed; nested in ``count`` (``sample_graph``
     is prefix-stable), so the sampled sup is nondecreasing in ``count``.
-    Each sampling pass draws ``count`` graph pairs as one array and takes
-    the objective's maximum in one vectorised expression.  When the query
-    pair itself lies on the graph it joins the candidate set, which pins
-    the value to the pairing there.  With ``polish`` the exact chart
-    maximiser joins it too (:func:`_chart_polish`, the evaluator's
-    maximiser), so a finite F of a linear map or relation, a sum with a
-    closed form or a norm subdifferential is attained up to rounding.  The
-    result is always a lower bound of the true F; ``diverging`` flags the
-    indicator-type +inf suspicion from the sampled sups at radius x1, x2
-    and x4 (``trend``).  A call draws ``count`` pairs: the x2 and x4 sups
-    are read off the x1 sample, scaled by the kind's ``sample_scaling``,
-    except for translations and non-linear sums, which draw 3 * ``count``
-    pairs with the divergence check.
+    The sample is ``count`` graph pairs drawn as one array, the objective's
+    maximum taken in one vectorised expression.  Two more candidates join
+    it: the query pair itself when it lies on the graph, which pins the
+    value to the pairing there, and the exact chart maximiser
+    (:func:`_chart_polish`, the evaluator's maximiser), so that a finite F
+    of a linear map or relation, a sum with a closed form or a norm
+    subdifferential is attained up to rounding.  ``value`` is always a
+    lower bound of the true F.  ``trend`` holds the raw sampled sups at
+    radius x1, x2 and x4, without those candidates, and ``diverging`` flags
+    the indicator-type +inf suspicion from them.  The x2 and x4 sups are
+    read off the x1 sample, scaled by the kind's ``sample_scaling``, so a
+    call draws ``count`` pairs; translations and non-linear sums draw
+    3 * ``count``.
     """
     x = as_vector(x, op.dim)
     xs = as_vector(xs, op.dim)
-    obj = _objective(x, xs)
-    best, best_pair, sups = _sampled_sup(op, x, xs, count, radius, seed,
-                                         (2, 4) if divergence_check else ())
-    sup_1x = best
-    if ops.graph_member(op, x, xs, tol=CARRIER_TOL):
-        v = obj(x, xs)
+    best, best_pair, sups = _sampled_sup(op, x, xs, count, radius, seed, (2, 4))
+    trend = ((radius, best), (2 * radius, sups[0]), (4 * radius, sups[1]))
+    if ops.graph_member(op, x, xs):
+        v = _objective(x, xs)(x, xs)
         if v > best:
             best, best_pair = v, (x, xs)
-    if polish:
-        pv, pp = _chart_polish(op, x, xs)
-        if pp is not None and pv > best:
-            best, best_pair = pv, pp
-    trend = [(radius, best)]
-    diverging = False
-    if divergence_check:
-        trend = [(radius, sup_1x), (2 * radius, sups[0]), (4 * radius, sups[1])]
-        diverging = _diverging(trend)
+    pv, pp = _chart_polish(op, x, xs)
+    if pp is not None and pv > best:
+        best, best_pair = pv, pp
     return BruteForceResult(value=best, best_pair=best_pair,
-                            diverging=diverging, trend=tuple(trend))
+                            diverging=_diverging(trend), trend=trend)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +562,14 @@ class CarrierPair:
         vstar = v0 + (-(gr @ self.hr_pinv.T)) @ self.z.T
         return vstar, _norms(self._grad(a1, a2, vstar) @ self.z), ~off
 
+    def inf_conv(self, x, y):
+        """(value, v*, residual, ok) at one point or at rows: :meth:`solve`,
+        and the value F1(x, y - v*) + F2(x, v*) where the carriers are
+        compatible, +inf where they are not."""
+        vstar, resid, ok = self.solve(x, y)
+        value = self.cq1.evaluate(x, y - vstar, tol=1e-7) + self.cq2.evaluate(x, vstar, tol=1e-7)
+        return np.where(ok, value, math.inf), vstar, resid, ok
+
 
 def _norms(a):
     """Euclidean norms of the rows of a (of a vector: its norm), each
@@ -600,7 +600,7 @@ def _cone_sum_dual(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResult:
     order: v* is the multiplier of the cone-sum QP at (x, y)."""
     lin_ev, cone_ev = (f1, f2) if isinstance(f1, LinearFitz) else (f2, f1)
     c, off = cone_ev.data, InfConvResult(math.inf, None, 0.0, math.inf)
-    if not c.contains(x, CARRIER_TOL):
+    if not c.contains(x):
         return off
     # F_A(x, .) is +inf off dom A, since A(0) = dom A-perp: a refused QP
     # raises only at points of C cap dom A
@@ -629,10 +629,10 @@ def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResul
     raises UnsupportedOperatorError.
 
     Two linear pieces meet in an exact linear solve on the intersection
-    of their carriers, :class:`CarrierPair`, factored on the first call for
-    the ordered pair of their linear forms and kept on the first, so that a
-    point costs matrix-vector products (a linear + linear sum check solves
-    all its points in one :meth:`CarrierPair.solve` over their rows).
+    of their carriers, :meth:`CarrierPair.inf_conv`, factored on the first
+    call for the ordered pair of their linear forms and kept on the first,
+    so that a point costs matrix-vector products (a linear + linear sum
+    check calls the same method once over the rows of all its points).
 
     N_C1 with N_C2 is +inf for x off C1 or C2; elsewhere it is the least
     sigma_C1(y - v) + sigma_C2(v), which Douglas-Rachford finds from the
@@ -653,18 +653,16 @@ def partial_inf_conv(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResul
     if classes == {LinearFitz, NormalConeFitz}:
         return _cone_sum_dual(f1, f2, x, y)
     if classes == {LinearFitz}:
-        vstar, resid, ok = f1.carrier_pair(f2).solve(x, y)
-        if not ok:
-            return InfConvResult(math.inf, None, 0.0)
-        resid = float(resid)
-    elif classes == {NormalConeFitz}:
-        if not (f1.data.contains(x, CARRIER_TOL) and f2.data.contains(x, CARRIER_TOL)):
-            return InfConvResult(math.inf, None, 0.0)
-        # v -> sigma_C1(y - v) and v -> sigma_C2(v)
-        vstar, resid = _douglas_rachford(lambda w, t: y - f1._prox(y - w, t), f2._prox, y)
-    else:
+        value, vstar, resid, ok = f1.carrier_pair(f2).inf_conv(x, y)
+        return InfConvResult(float(value), vstar, float(resid)) if ok else \
+            InfConvResult(math.inf, None, 0.0)
+    if classes != {NormalConeFitz}:
         raise ops.UnsupportedOperatorError(
             f"no partial inf-convolution of {type(f1.operator).__name__} "
             f"and {type(f2.operator).__name__}")
+    if not (f1.data.contains(x) and f2.data.contains(x)):
+        return InfConvResult(math.inf, None, 0.0)
+    # v -> sigma_C1(y - v) and v -> sigma_C2(v)
+    vstar, resid = _douglas_rachford(lambda w, t: y - f1._prox(y - w, t), f2._prox, y)
     value = f1.evaluate(x, y - vstar, tol=1e-7) + f2.evaluate(x, vstar, tol=1e-7)
     return InfConvResult(float(value), vstar, resid)

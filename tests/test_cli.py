@@ -503,11 +503,28 @@ _NOT_MONOTONE = "error: operator not monotone: "
     (["classify", "{radius_huge}"], 1, "error: cannot load operator spec"),
     (["classify", "{half_dim}"], 1, "error: cannot load operator spec"),
     (["classify", "{inf_token}"], 1, "error: cannot load operator spec"),
+    # --bruteforce takes an integer COUNT and a finite RADIUS
+    (["fitz", "{id1}", "--point", "1,0", "--bruteforce", "1e3", "4"], 1,
+     "error: --bruteforce needs a positive count and a positive finite radius: "
+     "COUNT takes a positive integer, not '1e3'"),
+    (["fitz", "{id1}", "--point", "1,0", "--bruteforce", "2.7", "4"], 1,
+     "error: --bruteforce needs a positive count and a positive finite radius: "
+     "COUNT takes a positive integer, not '2.7'"),
+    (["fitz", "{id1}", "--point", "1,0", "--bruteforce", "10", "abc"], 1,
+     "error: --bruteforce needs a positive count and a positive finite radius: "
+     "RADIUS takes a positive finite number, not 'abc'"),
+    # --csv writes a slice's boundary: a path it cannot write, or a
+    # membership query that has no boundary to write
+    (["enlarge", "{id1}", "--eps", "0.5", "--slice-at", "1", "--csv", "{missing}/x.csv"], 1,
+     "error: --csv: cannot write"),
+    (["enlarge", "{id1}", "--eps", "0.5", "--point", "1,1.5", "--csv", "{out_csv}"], 1,
+     "error: --csv writes slice boundary samples: it needs --slice-at"),
 ])
 def test_main_maps_each_error_to_its_exit_code(specs, tmp_path, capsys, argv, code, prefix):
     from enlargekit import cli
 
-    paths = dict(specs, malformed=str(tmp_path / "malformed.json"))
+    paths = dict(specs, malformed=str(tmp_path / "malformed.json"),
+                 missing=str(tmp_path / "missing"), out_csv=str(tmp_path / "out.csv"))
     (tmp_path / "malformed.json").write_text("{not json")
     paths["line"] = write_spec(tmp_path, "line.json", {
         "space_dim": 2,
@@ -540,6 +557,25 @@ def test_main_maps_each_error_to_its_exit_code(specs, tmp_path, capsys, argv, co
     assert "Traceback" not in out.err
     if not prefix.startswith(_NOT_MONOTONE):
         assert "not monotone" not in out.err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["classify", "{id1}"], {"membership", "eigenvalue_slack"}),
+    (["fitz", "{id1}", "--point", "1,0"], {"membership", "bruteforce_gap_advisory"}),
+    (["enlarge", "{id1}", "--eps", "0.5", "--point", "1,1.5"], {"membership"}),
+    (["enlarge", "{id1}", "--eps", "0.5", "--slice-at", "1", "--csv", "{out_csv}"],
+     {"membership"}),
+    (["sumcheck", "{id1}", "{id1}", "--points", "6"], {"membership", "sumcheck"}),
+])
+def test_the_envelope_lists_only_the_tolerances_a_verdict_reads(specs, tmp_path, argv, keys):
+    from enlargekit import cli
+
+    paths = dict(specs, out_csv=str(tmp_path / "out.csv"))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main([a.format(**paths) for a in argv]) == 0
+    assert set(json.loads(buf.getvalue())["tolerances"]) == keys
 
 
 def test_main_writes_the_envelope_to_the_current_stdout(specs):

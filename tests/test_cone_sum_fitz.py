@@ -298,7 +298,7 @@ def test_bruteforce_polish_of_a_relation_plus_cone_is_exact():
     rng = np.random.default_rng(7)
     for _ in range(5):
         z, zs = rng.uniform(-1.0, 1.0, 3), 2.0 * rng.normal(size=3)
-        res = fitz_bruteforce(op, z, zs, count=200, radius=4.0, divergence_check=False)
+        res = fitz_bruteforce(op, z, zs, count=200, radius=4.0)
         assert res.value == pytest.approx(ev.evaluate(z, zs), rel=1e-10, abs=1e-10)
         assert graph_member(op, *res.best_pair, tol=1e-8)
 

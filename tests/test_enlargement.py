@@ -261,9 +261,9 @@ def test_eps_zero_recovers_graph():
 
 def _sampled_member(op, x, xs, eps, count, seed):
     """No violation found: the sampled lower bound of F (graph samples
-    and the polish, no divergence check) is at most <x, xs> + eps."""
-    res = fitz_bruteforce(op, x, xs, count=count, radius=16.0, seed=seed,
-                          divergence_check=False)
+    and the polish; the divergence flag is not read) is at most
+    <x, xs> + eps."""
+    res = fitz_bruteforce(op, x, xs, count=count, radius=16.0, seed=seed)
     return res.value <= pairing(x, xs) + eps + SLACK_TOL
 
 

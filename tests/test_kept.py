@@ -238,7 +238,7 @@ def test_kept_data_frees_with_its_descriptors(kind):
         assert enl_member(s, x, xs, 0.5).method == "closed_form"
         rep = sum_fitz_exactness(a, b, n_points=6, seed=0)
         assert rep.max_gap <= 1e-9
-        assert fitz_bruteforce(s, x, xs, count=200, polish=True).best_pair is not None
+        assert fitz_bruteforce(s, x, xs, count=200).best_pair is not None
         refs = [weakref.ref(o) for o in (a, b, s, rep.sum_op)]
         del a, b, s, rep
         assert [r() for r in refs] == [None] * 4

@@ -104,8 +104,6 @@ def test_halton_columns_use_the_first_primes():
 # the kinds whose sample is not a scaled copy at every radius
 UNSCALED = {"map + box cone", "ball cone + map", "{0} x R + interval cone",
             "box cone + (map + p = 1 norm)", "translated map", "translated relation"}
-ONE_PASS = ("linear map", "linear relation", "map + map", "norm p = 1", "norm p = 1.5",
-            "box cone")
 
 
 def _counted_draws(monkeypatch):
@@ -125,21 +123,13 @@ def _query(op):
     return np.full(op.dim, 0.5), np.linspace(-1.0, 2.0, op.dim)
 
 
-@pytest.mark.parametrize("name", ONE_PASS + ("translated map", "map + box cone"))
+@pytest.mark.parametrize("name", sorted(SAMPLED_KINDS))
 def test_bruteforce_draws_one_pass_unless_the_kind_has_no_sample_scaling(monkeypatch, name):
     op = SAMPLED_KINDS[name]
     drawn = _counted_draws(monkeypatch)
     res = fitz_bruteforce(op, *_query(op), count=500, radius=4.0, seed=0)
     assert len(res.trend) == 3
-    assert sum(drawn) == (500 if name in ONE_PASS else 3 * 500)
-
-
-@pytest.mark.parametrize("name", sorted(SAMPLED_KINDS))
-def test_bruteforce_without_the_divergence_check_draws_one_pass(monkeypatch, name):
-    op = SAMPLED_KINDS[name]
-    drawn = _counted_draws(monkeypatch)
-    fitz_bruteforce(op, *_query(op), count=500, radius=4.0, seed=0, divergence_check=False)
-    assert drawn == [500]
+    assert sum(drawn) == (3 * 500 if name in UNSCALED else 500)
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLED_KINDS))
