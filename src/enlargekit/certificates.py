@@ -214,22 +214,22 @@ class SingletonCheckReport:
     detail: str = ""
 
 
-def fitz_singleton_check(op, n_samples=150, seed=0) -> SingletonCheckReport:
+def fitz_singleton_check(op) -> SingletonCheckReport:
     """Check F = pairing + indicator(graph) against :func:`non_enlargeable`.
 
-    F must equal the pairing on graph samples.  A non-enlargeable operator
-    must show F = +inf at every off-graph probe; the witness of an
+    F must equal the pairing on 150 graph samples.  A non-enlargeable
+    operator must show F = +inf at every off-graph probe; the witness of an
     enlargeable one must be an off-graph pair with finite F.
     """
     cert = non_enlargeable(op)
     expected, ev = cert.verdict, fitz_evaluator(op)
     graph_ok = all(abs(ev.evaluate(x, xs) - pairing(x, xs)) <= 1e-9
-                   for x, xs in ops.sample_graph(op, n_samples, 3.0, seed))
+                   for x, xs in ops.sample_graph(op, 150, 3.0, 0))
     example = None
     if expected:
-        d = np.random.default_rng(seed).normal(size=(n_samples, op.dim))
+        d = np.random.default_rng(0).normal(size=(150, op.dim))
         probes = ((x, xs + 0.5 * u / max(np.linalg.norm(u), 1e-12)) for (x, xs), u
-                  in zip(ops.sample_graph(op, n_samples, 3.0, seed + 1), d))
+                  in zip(ops.sample_graph(op, 150, 3.0, 1), d))
         off_ok = not any(math.isfinite(ev.evaluate(x, p)) for x, p in probes
                          if not ops.graph_member(op, x, p, tol=1e-7))
     else:
@@ -290,10 +290,10 @@ def _sum_points(op: ops.SumOp, n_points, seed):
         rows = -(-n_points // 3)
         t0, t1, r, _, z2, zs2 = np.split(rng.normal(size=(rows, 4 * k + 2 * n)),
                                          np.cumsum([k, k, k, k, n]), axis=1)
-        # the target moves z* by some d with U'd = W r: one least-squares
-        # solve for every target, kept where it is exact
+        # the target moves z* by some d with U'd = W r: d = (U')^+ W r from
+        # the kept domain record, kept where it is exact
         target = r @ w.T
-        d = np.linalg.lstsq(u.T, target.T, rcond=None)[0].T
+        d = target @ rel.domain.u_pinv
         exact = np.linalg.norm(d @ u - target, axis=1) < \
             1e-9 * (1 + np.linalg.norm(target, axis=1))
         pts = np.empty((3 * rows, 2, n))
@@ -315,10 +315,8 @@ def _sum_points(op: ops.SumOp, n_points, seed):
             d /= max(np.linalg.norm(d), 1e-12)
             z = cone.set.support_points(d[None, :])[0]
         else:
-            z = cone.set.interior_point() + 0.1 * rng.normal(size=n)
-            if dom.dim < n:
-                # F of the sum is +inf off dom A: move towards it first
-                z = dom.project(z)
+            # F of the sum is +inf off dom A: move towards it first
+            z = dom.project(cone.set.interior_point() + 0.1 * rng.normal(size=n))
             z = cone.set.project(z)
         pts.append((z, rng.normal(size=n) * 2))
     return np.array(pts).reshape(n_points, 2, n)
@@ -428,18 +426,15 @@ def random_monotone_matrix(n, rng, rank_deficient=False) -> ops.LinearMapOp:
     return ops.LinearMapOp(g @ g.T + 0.5 * (kmat - kmat.T))
 
 
-def random_maximal_monotone_relation(n, rng, rotate=True, max_tries=200
-                                     ) -> ops.LinearRelationOp:
+def random_maximal_monotone_relation(n, rng) -> ops.LinearRelationOp:
     """Random maximal monotone linear relation in R^n.
 
-    Starts from the graph of a random monotone matrix; optionally rotates
-    the graph by a random orthogonal transform of R^2n, rejection-sampling
-    until the rotated graph is monotone again (dimension n is preserved).
+    The graph of a random monotone matrix, rotated by a random orthogonal
+    transform of R^2n, rejection-sampled until the rotated graph is
+    monotone again (dimension n is preserved); past 200 tries, unrotated.
     """
     base = ops.as_relation(random_monotone_matrix(n, rng))
-    if not rotate:
-        return base
-    for _ in range(max_tries):
+    for _ in range(200):
         q, _ = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)))
         cand = ops.LinearRelationOp(Subspace(2 * n, q @ base.graph.basis))
         rep = ops.validate(cand)

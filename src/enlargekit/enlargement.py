@@ -48,8 +48,7 @@ class EnlargementVerdict:
     method: str
 
 
-def enl_member(op: ops.OperatorDescriptor, x, xs, eps,
-               count=10000, radius=10.0, seed=0) -> EnlargementVerdict:
+def enl_member(op: ops.OperatorDescriptor, x, xs, eps, seed=0) -> EnlargementVerdict:
     """Decide (x, xs) in gra A_eps for a maximally monotone operator.
 
     Uses the closed-form Fitzpatrick value when the zoo provides one,
@@ -63,7 +62,7 @@ def enl_member(op: ops.OperatorDescriptor, x, xs, eps,
     value = fitz_closed_form(op, x, xs)
     method = "closed_form"
     if value is None:
-        res = fitz_bruteforce(op, x, xs, count=count, radius=radius, seed=seed)
+        res = fitz_bruteforce(op, x, xs, seed=seed)
         value = math.inf if res.diverging else res.value
         method = "bruteforce"
     slack = -math.inf if math.isinf(value) else pairing(x, xs) + eps - value

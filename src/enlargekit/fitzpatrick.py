@@ -87,14 +87,15 @@ def __getattr__(name):
 class ConeSumQP:
     """F of A + N_C as one QP (see the module docstring).
 
-    D = ran U has the orthonormal basis Q, and A maps Q s to M s + D-perp
-    with M = V (Q'U)^+.  For z in C cap D, F(z, z*) is the max over
-    {s : Q s in C} of <b, s> - <s, H s>, b = M'z + Q'z*, H = (Q'M + M'Q)/2,
-    which ``solve`` (the set's ``subspace_qp``) finds.  When the set
-    refuses the QP (C cap D empty, or a ball that D != {0} only touches),
-    the record is kept all the same: ``solve`` is None, ``refusal`` the
-    set's message, and :meth:`off_domain` still answers on Q.  The record
-    holds no reference to C, which weakly keys it on A."""
+    D = dom A has the orthonormal basis Q, and A maps Q s to M s + D-perp
+    with M = V U^+ Q, both read off A's kept domain record.  For z in
+    C cap D, F(z, z*) is the max over {s : Q s in C} of <b, s> - <s, H s>,
+    b = M'z + Q'z*, H = (Q'M + M'Q)/2, which ``solve`` (the set's
+    ``subspace_qp``) finds.  When the set refuses the QP (C cap D empty, or
+    a ball that D != {0} only touches), the record is kept all the same:
+    ``solve`` is None, ``refusal`` the set's message, and
+    :meth:`off_domain` still answers on Q.  The record holds no reference
+    to C, which weakly keys it on A."""
 
     q: np.ndarray        # (n, k)
     m: np.ndarray        # (n, k)
@@ -107,7 +108,7 @@ class ConeSumQP:
         if not ops.require_monotone(lin).maximal:
             raise ops.UnsupportedOperatorError("cone-sum closed form needs a maximal A")
         q = ops.dom_subspace(lin).basis
-        m = lin.v_block @ np.linalg.pinv(q.T @ lin.u_block)
+        m = lin.domain.on_dom @ q
         try:
             return cls(q, m, c.subspace_qp(q, 0.5 * (q.T @ m + m.T @ q)))
         except ops.UnsupportedOperatorError as exc:
@@ -337,16 +338,16 @@ def _sampled_sup(op, x, xs, count, radius, seed, scales=()):
     return float(vals[k]), (a[k].copy(), astar[k].copy()), sups
 
 
-def golden_section(h, lo, hi, iters=80):
-    """Golden-section search for a minimiser of ``h`` on [lo, hi]; returns
-    (t, h(t)).  Exact for unimodal ``h``; elsewhere a local minimiser inside
-    the bracket."""
+def golden_section(h, lo, hi):
+    """Golden-section search for a minimiser of ``h`` on [lo, hi], 80 steps;
+    returns (t, h(t)).  Exact for unimodal ``h``; elsewhere a local
+    minimiser inside the bracket."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = h(c), h(d)
-    for _ in range(iters):
+    for _ in range(80):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)

@@ -79,25 +79,23 @@ def check_nonnegative(value, what):
         raise ValueError(f"{what} must be finite and nonnegative")
 
 
-def check_symmetric(m, tol=SYM_TOL) -> np.ndarray:
+def check_symmetric(m) -> np.ndarray:
     """Return ``m`` as a square array, raising :class:`NonSymmetricError`
-    if ``max|m - m.T|`` exceeds ``tol``."""
+    if ``max|m - m.T|`` exceeds ``SYM_TOL``."""
     a = as_matrix(m, square=True)
     asym = 0.0 if a.size == 0 else float(np.max(np.abs(a - a.T)))
-    if asym > tol:
-        raise NonSymmetricError(f"asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
+    if asym > SYM_TOL:
+        raise NonSymmetricError(f"asymmetry {asym:.3e} exceeds tolerance {SYM_TOL:.3e}")
     return 0.5 * (a + a.T)
 
 
-def sym_eig(m, tol=SYM_TOL):
+def sym_eig(m):
     """Eigendecomposition of a symmetric matrix.
 
     Parameters
     ----------
     m : array_like
-        Square matrix, symmetric within ``tol``.
-    tol : float, optional
-        Maximum allowed entrywise asymmetry.
+        Square matrix, symmetric within ``SYM_TOL`` entrywise.
 
     Returns
     -------
@@ -106,7 +104,7 @@ def sym_eig(m, tol=SYM_TOL):
     eigenvectors : ndarray
         Orthonormal columns, ``m = Q diag(w) Q.T``.
     """
-    a = check_symmetric(m, tol)
+    a = check_symmetric(m)
     w, q = np.linalg.eigh(a)
     return w[::-1].copy(), q[:, ::-1].copy()
 

@@ -21,19 +21,20 @@ every other value.  Each answers ``contains(u)`` and ``shifted(offset)``;
 a polyhedral value holds u when u's residual is at most tol (1 + ||u||).
 
 A linear map is the relation with graph {(x, A x)}, charted by U = I and
-V = A.  Maps and relations share ``validate``; it, symmetry, skewness, the
-domain and the Fitzpatrick carrier read the chart (U, V) of either form,
-while a map's application and sampling keep its matrix.  Each convex set
-owns its normal-cone helpers (the set protocol below).
+V = A.  Maps and relations share ``validate``, ``apply``, ``values_at``,
+symmetry, skewness, the domain and the Fitzpatrick carrier, which read the
+chart (U, V) of either form; a map's sampling keeps its matrix.  Each
+convex set owns its normal-cone helpers (the set protocol below).
 
 All descriptors are immutable; every operation is pure given an explicit
 seed, so concurrent use needs no synchronization.  A descriptor keeps what
 it derives after first use, through one get-or-build method
 (:meth:`_Descriptor._kept`): its ``validate()`` report and, for a map or
-relation, its Fitzpatrick carrier (:class:`CarrierQuadratic`), and per
-second summand of a sum with it, the sum relation and carrier pair of a
-linear one or the cone-sum QP of a set C (for N_C).  Nothing kept refers
-back to a descriptor; two concurrent first uses may both compute it, with
+relation, its Fitzpatrick carrier (:class:`CarrierQuadratic`) and domain
+record (:class:`LinearDomain`, which alone decides dom A), and per second
+summand of a sum with it, the sum relation and carrier pair of a linear
+one or the cone-sum QP of a set C (for N_C).  Nothing kept refers back to
+a descriptor; two concurrent first uses may both compute it, with
 identical results.
 """
 
@@ -49,6 +50,7 @@ import numpy as np
 
 from .linalg import (
     EIG_RANK_ATOL,
+    EIG_RANK_RTOL,
     DimensionMismatchError,
     SolverFailureError,
     Subspace,
@@ -578,6 +580,31 @@ class CarrierQuadratic:
         return float(value) if c.ndim == 1 else value
 
 
+@dataclass(frozen=True, eq=False)
+class LinearDomain:
+    """dom A and A on it, from one SVD U = W S Z' of the chart block.  The
+    rank counts singular values above ``EIG_RANK_RTOL`` times the largest,
+    and is 0 when no entry of U exceeds ``EIG_RANK_ATOL``: U is I or a block
+    of an orthonormal graph basis, so such entries are rounding.  V Z_ker
+    is orthonormal, as [U; V] Z_ker is and U Z_ker is below the cutoff; the
+    SVD of I is exact, so a map's ``on_dom`` is A bitwise."""
+
+    dom: Subspace           # dom A = ran U
+    perp: np.ndarray        # (n, n - r) orthonormal basis of its complement
+    u_pinv: np.ndarray      # (k, n) U^+ on the rank r
+    on_dom: np.ndarray      # (n, n) V U^+: A on dom A, zero on its complement
+    zero_value: Subspace    # A(0) = V ker U, the directions of every value
+
+    @classmethod
+    def build(cls, u, v) -> "LinearDomain":
+        w, s, zt = np.linalg.svd(u)
+        dust = float(np.max(np.abs(u), initial=0.0)) <= EIG_RANK_ATOL
+        r = 0 if dust else int(np.sum(s > EIG_RANK_RTOL * s[0]))
+        u_pinv = (zt[:r].T / s[:r]) @ w[:, :r].T
+        return cls(dom=Subspace(len(u), w[:, :r]), perp=w[:, r:], u_pinv=u_pinv,
+                   on_dom=v @ u_pinv, zero_value=Subspace(len(u), v @ zt[r:].T))
+
+
 class _Linear(_Descriptor):
     """Maps and relations: every verdict reads the graph chart (U, V)."""
 
@@ -587,6 +614,26 @@ class _Linear(_Descriptor):
     def carrier(self) -> CarrierQuadratic:
         """The Fitzpatrick carrier of the graph chart, kept after first use."""
         return self._kept("carrier", lambda: CarrierQuadratic.build(self.u_block, self.v_block))
+
+    @property
+    def domain(self) -> LinearDomain:
+        """The domain record of the graph chart, kept after first use."""
+        return self._kept("domain", lambda: LinearDomain.build(self.u_block, self.v_block))
+
+    def apply(self, x):
+        d = self.domain
+        if float(np.linalg.norm(x @ d.perp)) > MEMBER_TOL * (1.0 + np.linalg.norm(x)):
+            return EmptySet()
+        return PolyhedralValue(d.on_dom @ x, d.zero_value)
+
+    def values_at(self, x, ss):
+        d = self.domain
+        ok = np.linalg.norm(x @ d.perp, axis=1) <= MEMBER_TOL * (1.0 + np.linalg.norm(x, axis=1))
+        w = x @ d.on_dom.T
+        if d.zero_value.dim:
+            (g,) = _rngs(ss, 1)
+            w = w + g.standard_normal((x.shape[0], d.zero_value.dim)) @ d.zero_value.basis.T
+        return w, ok
 
     def _report(self):
         lam = self.carrier.lam
@@ -608,7 +655,7 @@ class _Subdifferential(_Descriptor):
 class LinearMapOp(_Linear):
     """Single-valued linear operator x -> A x: the relation whose graph
     {(x, A x)} is charted by t -> (U t, V t), ``u_block`` = I, ``v_block`` = A.
-    Application and sampling keep the matrix form."""
+    Sampling keeps the matrix form."""
 
     matrix: np.ndarray
 
@@ -626,12 +673,6 @@ class LinearMapOp(_Linear):
     @property
     def v_block(self) -> np.ndarray:
         return self.matrix
-
-    def apply(self, x):
-        return _pointed(self.matrix @ x)
-
-    def values_at(self, x, ss):
-        return x @ self.matrix.T, np.ones(x.shape[0], dtype=bool)
 
     def sample(self, count, radius, ss):
         y = _params(count, self.dim, radius, ss)
@@ -672,30 +713,6 @@ class LinearRelationOp(_Linear):
     @classmethod
     def from_graph_columns(cls, columns, dim) -> "LinearRelationOp":
         return cls(orthonormalize(columns, ambient_dim=2 * dim))
-
-    def _values_directions(self):
-        """V ker U: the directions of every nonempty value A x."""
-        null_u = null_space(self.u_block)
-        if not null_u.shape[1]:
-            return zero_space(self.dim)
-        return orthonormalize(self.v_block @ null_u, ambient_dim=self.dim)
-
-    def apply(self, x):
-        u = self.u_block
-        t, *_ = np.linalg.lstsq(u, x, rcond=None)
-        if float(np.linalg.norm(u @ t - x)) > MEMBER_TOL * (1.0 + np.linalg.norm(x)):
-            return EmptySet()
-        return PolyhedralValue(self.v_block @ t, self._values_directions())
-
-    def values_at(self, x, ss):
-        u = self.u_block
-        t = np.linalg.lstsq(u, x.T, rcond=None)[0].T
-        ok = np.linalg.norm(t @ u.T - x, axis=1) <= MEMBER_TOL * (1.0 + np.linalg.norm(x, axis=1))
-        w, dirs = t @ self.v_block.T, self._values_directions()
-        if dirs.dim:
-            (g,) = _rngs(ss, 1)
-            w = w + g.standard_normal((x.shape[0], dirs.dim)) @ dirs.basis.T
-        return w, ok
 
     def sample(self, count, radius, ss):
         if self.graph.dim == 0:
@@ -952,16 +969,16 @@ def _chart(op, what):
     return op.u_block, op.v_block
 
 
-def is_symmetric(op, tol=MONOTONE_TOL) -> bool:
+def is_symmetric(op) -> bool:
     """<x, y*> = <y, x*> for all graph pairs: U'V - V'U vanishes."""
     u, v = _chart(op, "symmetry")
-    return float(np.max(np.abs(u.T @ v - v.T @ u), initial=0.0)) <= tol
+    return float(np.max(np.abs(u.T @ v - v.T @ u), initial=0.0)) <= MONOTONE_TOL
 
 
-def is_skew(op, tol=MONOTONE_TOL) -> bool:
+def is_skew(op) -> bool:
     """<x, x*> = 0 on the whole graph: U'V + V'U vanishes."""
     u, v = _chart(op, "skewness")
-    return float(np.max(np.abs(u.T @ v + v.T @ u), initial=0.0)) <= tol
+    return float(np.max(np.abs(u.T @ v + v.T @ u), initial=0.0)) <= MONOTONE_TOL
 
 
 def validate(op: OperatorDescriptor) -> ValidationReport:
@@ -1088,27 +1105,17 @@ def neg_adjoint_graph(g: Subspace) -> Subspace:
 
 
 def dom_subspace(op) -> Subspace:
-    """Domain of a linear map / relation, as a subspace of R^n: ran U.
-
-    U is I or a block of an orthonormal graph basis, so entries below
-    ``EIG_RANK_ATOL`` throughout are rounding: the domain is {0} (the
-    relative rank cutoff alone would read such dust as directions)."""
-    u, _ = _chart(op, "a domain subspace")
-    if float(np.max(np.abs(u), initial=0.0)) <= EIG_RANK_ATOL:
-        return zero_space(op.dim)
-    return orthonormalize(u, ambient_dim=op.dim)
+    """Domain ran U of a linear map / relation, from its :class:`LinearDomain`."""
+    _chart(op, "a domain subspace")
+    return op.domain.dom
 
 
 def relation_as_map(rel: LinearRelationOp) -> Optional[LinearMapOp]:
-    """Matrix form of a relation that is single-valued with full domain."""
-    n = rel.dim
-    u, v = rel.u_block, rel.v_block
-    if rel.graph.dim != n:
-        return None
-    if np.linalg.matrix_rank(u, tol=1e-10) != n:
-        return None
-    t = np.linalg.solve(u.T @ u, u.T)  # U t = x  resolved columnwise
-    return LinearMapOp(v @ t)
+    """Matrix form V U^+ of a relation with dom A = R^n and A(0) = {0},
+    a single-valued map; None for any other relation."""
+    d = rel.domain
+    single_valued = d.dom.dim == rel.dim and not d.zero_value.dim
+    return LinearMapOp(d.on_dom) if single_valued else None
 
 
 def as_relation(op) -> LinearRelationOp:

@@ -143,7 +143,24 @@ def test_a_linear_sum_check_solves_all_its_points_at_once(monkeypatch):
     rep = sum_fitz_exactness(a, b, n_points=100, seed=0)
     assert rep.points_tested == 100 and rep.max_gap <= 1e-6
     assert solves == [(100, 40)]
-    assert len(lstsqs) <= 1
+    assert lstsqs == []
+
+
+def test_repeated_application_of_a_relation_decomposes_nothing(monkeypatch):
+    rng = np.random.default_rng(9)
+    rel = _relation(rng, 40)
+    x = rng.normal(size=(5, 40))
+    svds, lstsqs = _counted(monkeypatch, "svd"), _counted(monkeypatch, "lstsq")
+    calls = [lambda: ops.apply(rel, x[0]),
+             lambda: rel.values_at(x, np.random.SeedSequence(0)),
+             lambda: ops.graph_member(rel, x[1], x[2])]
+    for call in calls:
+        call()
+    svds.clear()
+    lstsqs.clear()
+    for call in calls * 3:
+        call()
+    assert svds == [] and lstsqs == []
 
 
 def _convs(a, b, points):

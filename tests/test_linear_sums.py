@@ -13,7 +13,14 @@ from enlargekit import fitzpatrick as fz
 from enlargekit import operators as ops
 from enlargekit.certificates import random_monotone_matrix, sum_fitz_exactness
 from enlargekit.fitzpatrick import CARRIER_TOL, fitz_evaluator, partial_inf_conv
-from enlargekit.linalg import intersect, orthonormalize, pseudoinverse, same_span
+from enlargekit.linalg import (
+    EIG_RANK_ATOL,
+    EIG_RANK_RTOL,
+    intersect,
+    orthonormalize,
+    pseudoinverse,
+    same_span,
+)
 from enlargekit.operators import LinearMapOp, LinearRelationOp, SumOp
 
 
@@ -204,11 +211,14 @@ def test_a_relation_plus_a_skew_relation_has_no_rounding_negative_carrier(seed):
 
 def _per_point_sum_points(rel, n_points, seed):
     """The test points one at a time, with one least-squares solve per
-    range-compatible perturbation."""
+    range-compatible perturbation, under the package's rank rule for U: no
+    rank when every entry is rounding dust, else singular values above
+    ``EIG_RANK_RTOL`` times the largest."""
     rng = np.random.default_rng(seed)
     n = rel.dim
     u, v = rel.u_block, rel.v_block
     w = 0.5 * (u.T @ v + v.T @ u)
+    dust = float(np.max(np.abs(u), initial=0.0)) <= EIG_RANK_ATOL
     pts = []
     while len(pts) < n_points:
         t = rng.normal(size=rel.graph.dim)
@@ -218,7 +228,7 @@ def _per_point_sum_points(rel, n_points, seed):
             pts.append((z, zs))
         elif kind == 1:
             target = w @ rng.normal(size=w.shape[0])
-            d, *_ = np.linalg.lstsq(u.T, target, rcond=None)
+            d = np.zeros(n) if dust else np.linalg.lstsq(u.T, target, rcond=EIG_RANK_RTOL)[0]
             if np.linalg.norm(u.T @ d - target) < 1e-9 * (1 + np.linalg.norm(target)):
                 pts.append((z, zs + d))
             else:
