@@ -152,12 +152,12 @@ def _domain_certificate(op) -> NonEnlargeableCertificate:
         lin, cone = ops.LinearMapOp(np.zeros((op.dim, op.dim))), op
     else:
         lin, cone = op.linear_cone
-    q = ops.dom_subspace(lin).basis
-    x, dirs = cone.set.face(q)
+    dom = lin.domain
+    x, dirs = cone.set.face(dom)
     if dirs.shape[1] == 0:
         return NonEnlargeableCertificate(True, None, "domain-face",
                                          "the domain is one point p, so the graph is {p} x R^n")
-    x = q @ (q.T @ x)
+    x = dom.dom.project(x)
     y = ops.apply(lin, x).point
     for k in range(WITNESS_HALVINGS):
         xs = y + 0.5 ** k * dirs[:, 0]

@@ -54,8 +54,15 @@ class InputError(ValueError):
 # spec parsing and serialization
 # ---------------------------------------------------------------------------
 
+def _json_object(obj, field):
+    """``obj``, which the spec's ``field`` must hold as a JSON object."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{field} must be a JSON object, not {obj!r}")
+    return obj
+
+
 def _parse_set(obj, n):
-    kind = obj.get("kind")
+    kind = _json_object(obj, "set").get("kind")
     if kind == "ball":
         return ops.Ball(np.asarray(obj["center"], float), float(obj["radius"]))
     if kind == "box":
@@ -66,7 +73,7 @@ def _parse_set(obj, n):
 
 
 def _parse_operator(obj, n):
-    kind = obj.get("kind")
+    kind = _json_object(obj, "operator").get("kind")
     if kind == "linear_map":
         m = np.asarray(obj["matrix"], float)
         if m.shape != (n, n):
@@ -85,7 +92,7 @@ def _parse_operator(obj, n):
             raise InputError("set dimension does not match space_dim")
         return ops.NormalConeOp(s)
     if kind == "sum":
-        terms = tuple(_parse_operator(t, n) for t in obj["terms"])
+        terms = tuple(_parse_operator(_json_object(t, "sum term"), n) for t in obj["terms"])
         return ops.SumOp(terms)
     raise InputError(f"unknown operator kind {kind!r}")
 

@@ -91,11 +91,12 @@ class ConeSumQP:
     with M = V U^+ Q, both read off A's kept domain record.  For z in
     C cap D, F(z, z*) is the max over {s : Q s in C} of <b, s> - <s, H s>,
     b = M'z + Q'z*, H = (Q'M + M'Q)/2, which ``solve`` (the set's
-    ``subspace_qp``) finds.  When the set refuses the QP (C cap D empty, or
-    a ball that D != {0} only touches), the record is kept all the same:
-    ``solve`` is None, ``refusal`` the set's message, and
-    :meth:`off_domain` still answers on Q.  The record holds no reference
-    to C, which weakly keys it on A."""
+    ``subspace_qp``, given A's domain record) finds.  When the set refuses
+    the QP (C cap D empty, or a ball that D != {0} only touches), the
+    record is kept all the same: ``solve`` is None and ``refusal`` the
+    set's message.  Whether a point is off D is the domain record's
+    question (:meth:`operators.LinearDomain.off`).  The record holds no
+    reference to C, which weakly keys it on A."""
 
     q: np.ndarray        # (n, k)
     m: np.ndarray        # (n, k)
@@ -107,10 +108,11 @@ class ConeSumQP:
         # +inf off C cap D needs A(0) = D-perp (A maximal)
         if not ops.require_monotone(lin).maximal:
             raise ops.UnsupportedOperatorError("cone-sum closed form needs a maximal A")
-        q = ops.dom_subspace(lin).basis
-        m = lin.domain.on_dom @ q
+        dom = lin.domain
+        q = dom.dom.basis
+        m = dom.on_dom @ q
         try:
-            return cls(q, m, c.subspace_qp(q, 0.5 * (q.T @ m + m.T @ q)))
+            return cls(q, m, c.subspace_qp(dom, 0.5 * (q.T @ m + m.T @ q)))
         except ops.UnsupportedOperatorError as exc:
             return cls(q, m, None, str(exc))
 
@@ -134,11 +136,6 @@ class ConeSumQP:
         if gap > QP_GAP_TOL * (1.0 + abs(value)):
             raise SolverFailureError(f"cone-sum QP duality gap {gap:.3e}")
         return value, pair, normal
-
-    def off_domain(self, x, tol=CARRIER_TOL) -> bool:
-        """Whether x is off D = dom A, where F of A, and of A + N_C, is +inf."""
-        off_d = float(np.linalg.norm(x - self.q @ (self.q.T @ x)))
-        return off_d > tol * (1.0 + float(np.linalg.norm(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +198,8 @@ class ConeSumFitz(FitzEvaluator):
     the maximiser is the QP's, and F is +inf off C cap dom A."""
 
     def _value(self, x, xs, tol):
-        c = self.operator.linear_cone[1].set
-        if self.data.off_domain(x, tol) or not c.contains(x, tol):
+        lin, cone = self.operator.linear_cone
+        if lin.domain.off(x, tol) or not cone.set.contains(x, tol):
             return math.inf
         return self.data.maximiser(x, xs)[0]
 
@@ -606,7 +603,7 @@ def _cone_sum_dual(f1: FitzEvaluator, f2: FitzEvaluator, x, y) -> InfConvResult:
     # F_A(x, .) is +inf off dom A, since A(0) = dom A-perp: a refused QP
     # raises only at points of C cap dom A
     qp = lin_ev.cone_qp(c)
-    if qp.off_domain(x):
+    if ops.linear_form(lin_ev.operator).domain.off(x):
         return off
     primal, _, normal = qp.maximiser(x, y)
     vstar = normal if cone_ev is f2 else y - normal

@@ -24,18 +24,19 @@ A linear map is the relation with graph {(x, A x)}, charted by U = I and
 V = A.  Maps and relations share ``validate``, ``apply``, ``values_at``,
 symmetry, skewness, the domain and the Fitzpatrick carrier, which read the
 chart (U, V) of either form; a map's sampling keeps its matrix.  Each
-convex set owns its normal-cone helpers (the set protocol below).
+convex set owns its normal-cone helpers and answers how dom A meets it
+from A's domain record (the set protocol below).
 
 All descriptors are immutable; every operation is pure given an explicit
 seed, so concurrent use needs no synchronization.  A descriptor keeps what
 it derives after first use, through one get-or-build method
 (:meth:`_Descriptor._kept`): its ``validate()`` report and, for a map or
 relation, its Fitzpatrick carrier (:class:`CarrierQuadratic`) and domain
-record (:class:`LinearDomain`, which alone decides dom A), and per second
-summand of a sum with it, the sum relation and carrier pair of a linear
-one or the cone-sum QP of a set C (for N_C).  Nothing kept refers back to
-a descriptor; two concurrent first uses may both compute it, with
-identical results.
+record (:class:`LinearDomain`: dom A, its complement and the one rule for
+a point off dom A), and per second summand of a sum with it, the sum
+relation and carrier pair of a linear one or the cone-sum QP of a set C
+(for N_C).  Nothing kept refers back to a descriptor; two concurrent
+first uses may both compute it, with identical results.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .linalg import (
     complement,
     contains,
     eig_pinv,
-    intersect,
+    full_space,
     null_space,
     orthonormalize,
     rank_cutoff,
@@ -114,30 +115,28 @@ class UnsupportedOperatorError(TypeError):
 # and whether x lies in C (rows off C carry an arbitrary value).  These four
 # are what NormalConeOp's apply, sample and values_at read.
 #
-# meets(q, margin) decides, for Q with orthonormal columns (possibly none),
-# whether ran Q meets C shrunk by the margin (a ball's radius less it, a
-# box's faces moved in by it, a polytope's vertices pulled towards their mean
-# by that fraction, which lands in ri C).  It returns a point of the
-# intersection, or None when the least distance exceeds MEMBER_TOL.
+# meets, face and subspace_qp take dom, the kept LinearDomain of a linear A:
+# dom.dom.basis is an orthonormal basis Q of D = dom A (possibly no columns)
+# and dom.perp one of its complement, which no set derives again.
 #
-# face(q) describes ran Q cap C: a point of its relative interior and an
+# meets(dom, margin) decides whether D meets C shrunk by the margin (a ball's
+# radius less it, a box's faces moved in by it, a polytope's vertices pulled
+# towards their mean by that fraction, which lands in ri C).  It returns a
+# point of the intersection, or None when the least distance exceeds
+# MEMBER_TOL.
+#
+# face(dom) describes D cap C: a point of its relative interior and an
 # orthonormal basis (columns) of the directions of its affine hull, or None
-# when ran Q misses C.  A constraint of C counts as holding with equality on
-# ran Q cap C when tightening it by INTERIOR_MARGIN makes ran Q miss C.
+# when D misses C.  A constraint of C counts as holding with equality on
+# D cap C when tightening it by INTERIOR_MARGIN makes D miss C.
 #
-# subspace_qp(q, hess) serves the Fitzpatrick function of a linear + normal
-# cone sum: for Q with orthonormal columns and H PSD it returns solve(b) ->
-# (s, gap, v): a maximiser of <b, s> - <s, H s> over {s : Q s in C}, a bound
-# on the gap of its value, and the multiplier of the constraint Q s in C,
-# a normal v in N_C(Q s) with Q'v = b - 2 H s (the KKT condition), read off
-# the solver's own multipliers.  It starts from the point of ``meets`` and
-# raises UnsupportedOperatorError when ran Q misses C (for a ball: misses
-# its interior, unless ran Q = {0}).
-
-
-def _perp(q):
-    """Rows: an orthonormal basis of the complement of ran Q."""
-    return complement(Subspace(q.shape[0], q)).basis.T
+# subspace_qp(dom, hess) serves the Fitzpatrick function of a linear + normal
+# cone sum: for H PSD it returns solve(b) -> (s, gap, v): a maximiser of
+# <b, s> - <s, H s> over {s : Q s in C}, a bound on the gap of its value, and
+# the multiplier of the constraint Q s in C, a normal v in N_C(Q s) with
+# Q'v = b - 2 H s (the KKT condition), read off the solver's own multipliers.
+# It starts from the point of ``meets`` and raises UnsupportedOperatorError
+# when D misses C (for a ball: misses its interior, unless D = {0}).
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +183,7 @@ class Ball:
             return _pointed(np.zeros(self.dim))
         # the ray {s d : s >= 0}: <d, u> >= 0 and no part of u across d
         d = d / nd
-        perp = _perp(d[:, None])
+        perp = complement(Subspace(self.dim, d[:, None])).basis.T
         return _pointed(np.zeros(self.dim), np.vstack([-d, perp, -perp]))
 
     def inset_points(self, m, ss) -> np.ndarray:
@@ -193,23 +192,24 @@ class Ball:
     def support_points(self, d) -> np.ndarray:
         return self.center + self.radius * d
 
-    def meets(self, q, margin=0.0):
-        x = q @ (q.T @ self.center)  # the point of ran Q nearest the center
+    def meets(self, dom, margin=0.0):
+        x = dom.dom.project(self.center)  # the point of D nearest the center
         far = float(np.linalg.norm(self.center - x)) > self.radius - margin + MEMBER_TOL
         return None if far else x
 
-    def face(self, q):
+    def face(self, dom):
         # a subspace that meets the sphere alone touches the ball at one point
-        x = self.meets(q, INTERIOR_MARGIN)
+        x = self.meets(dom, INTERIOR_MARGIN)
         if x is not None:
-            return x, q
-        x = self.meets(q)
-        return None if x is None else (x, q[:, :0])
+            return x, dom.dom.basis
+        x = self.meets(dom)
+        return None if x is None else (x, dom.dom.basis[:, :0])
 
-    def subspace_qp(self, q, hess):
-        # a ball of radius rho about s0 in the coordinates s; ran Q = {0}
-        # may touch the ball (the sum's graph is then {0} x R^n)
-        x0 = self.meets(q, INTERIOR_MARGIN if q.shape[1] else 0.0)
+    def subspace_qp(self, dom, hess):
+        # a ball of radius rho about s0 in the coordinates s; D = {0} may
+        # touch the ball (the sum's graph is then {0} x R^n)
+        q = dom.dom.basis
+        x0 = self.meets(dom, INTERIOR_MARGIN if q.shape[1] else 0.0)
         if x0 is None:
             raise UnsupportedOperatorError("the subspace misses the interior of the ball")
         s0 = q.T @ x0
@@ -288,30 +288,30 @@ class Box:
         ok = np.all((x >= self.lo - MEMBER_TOL) & (x <= self.hi + MEMBER_TOL), axis=1)
         return self._face_signs(x) * g.uniform(0.0, _CONE_VALUE_SCALE, x.shape), ok
 
-    def meets(self, q, margin=0.0):
+    def meets(self, dom, margin=0.0):
         # margin may be a vector: one depth per coordinate
-        lo, hi, perp = self.lo + margin, self.hi - margin, _perp(q)
+        lo, hi, perp = self.lo + margin, self.hi - margin, dom.perp.T
         if np.any(lo >= hi):
             return None
         x = 0.5 * (lo + hi)
-        if perp.shape[0]:  # least distance from ran Q: a bound-constrained least squares
+        if perp.shape[0]:  # least distance from D: a bound-constrained least squares
             x = bounded_qp(perp.T @ perp, np.zeros(self.dim), lo, hi, x)[0]
         return None if float(np.linalg.norm(perp @ x)) > MEMBER_TOL else x
 
-    def face(self, q):
-        # coordinate i sits on a face of C all over ran Q cap C when the box
-        # shrunk in that coordinate alone misses ran Q
-        pts = [self.meets(q, INTERIOR_MARGIN * e) for e in np.eye(self.dim)]
+    def face(self, dom):
+        # coordinate i sits on a face of C all over D cap C when the box
+        # shrunk in that coordinate alone misses D
+        pts = [self.meets(dom, INTERIOR_MARGIN * e) for e in np.eye(self.dim)]
         tight = [x is None for x in pts]
         pts = [x for x in pts if x is not None]
-        x = np.mean(pts, axis=0) if pts else self.meets(q)
+        x = np.mean(pts, axis=0) if pts else self.meets(dom)
         if x is None:
             return None
-        return x, null_space(np.vstack([_perp(q), np.eye(self.dim)[tight]]))
+        return x, null_space(np.vstack([dom.perp.T, np.eye(self.dim)[tight]]))
 
-    def subspace_qp(self, q, hess):
+    def subspace_qp(self, dom, hess):
         # in x = Q s: lo <= x <= hi and Q_perp' x = Q_perp' x0
-        x0, perp = self.meets(q), _perp(q)
+        x0, q, perp = self.meets(dom), dom.dom.basis, dom.perp.T
         if x0 is None:
             raise UnsupportedOperatorError("the subspace misses the box")
         hx, diam = 2.0 * q @ hess @ q.T, float(np.linalg.norm(self.hi - self.lo))
@@ -435,23 +435,23 @@ class Polytope:
     def cone_values_at(self, x, ss):
         return np.zeros(x.shape), np.array([self.contains(row) for row in x], dtype=bool)
 
-    def meets(self, q, margin=0.0):
+    def meets(self, dom, margin=0.0):
         m = self.matrix.shape[0]
-        lam = self._weights(_perp(q), np.full(m, margin / m))
+        lam = self._weights(dom.perp.T, np.full(m, margin / m))
         return None if lam is None else lam @ self.matrix
 
-    def face(self, q):
-        # vertex i carries weight at a point of ran Q cap C when pulling the
-        # hull towards it keeps the hull meeting ran Q
-        perp, m = _perp(q), self.matrix.shape[0]
+    def face(self, dom):
+        # vertex i carries weight at a point of D cap C when pulling the
+        # hull towards it keeps the hull meeting D; the directions lie in D
+        # and in the hull of the carrying vertices, as for a box
+        perp, m = dom.perp.T, self.matrix.shape[0]
         found = [w for w in (self._weights(perp, INTERIOR_MARGIN * e) for e in np.eye(m))
                  if w is not None]
         if not found:
             return None
         lam = np.mean(found, axis=0)
         verts = self.matrix[lam > 0.0]
-        hull = orthonormalize((verts - verts[0]).T, self.dim)
-        return lam @ self.matrix, intersect(hull, Subspace(self.dim, q)).basis
+        return lam @ self.matrix, null_space(np.vstack([perp, null_space(verts - verts[0]).T]))
 
     def _weights(self, perp, pull):
         """Vertex weights of a point of the hull in ker Q_perp', at least
@@ -468,11 +468,10 @@ class Polytope:
         lam[corral] = w
         return (1.0 - pull.sum()) * lam + pull
 
-    def subspace_qp(self, q, hess):
+    def subspace_qp(self, dom, hess):
         # in the vertex weights lam: lam >= 0, sum lam = 1 and Q_perp' P lam
         # = Q_perp' P lam0
-        perp = _perp(q)
-        m = self.matrix.shape[0]
+        q, perp, m = dom.dom.basis, dom.perp.T, self.matrix.shape[0]
         lam0 = self._weights(perp, np.zeros(m))
         if lam0 is None:
             raise UnsupportedOperatorError("the subspace misses the polytope")
@@ -584,10 +583,10 @@ class CarrierQuadratic:
 class LinearDomain:
     """dom A and A on it, from one SVD U = W S Z' of the chart block.  The
     rank counts singular values above ``EIG_RANK_RTOL`` times the largest,
-    and is 0 when no entry of U exceeds ``EIG_RANK_ATOL``: U is I or a block
-    of an orthonormal graph basis, so such entries are rounding.  V Z_ker
-    is orthonormal, as [U; V] Z_ker is and U Z_ker is below the cutoff; the
-    SVD of I is exact, so a map's ``on_dom`` is A bitwise."""
+    and is 0 when no entry of U exceeds ``EIG_RANK_ATOL``: U is a block of
+    an orthonormal graph basis, so such entries are rounding.  V Z_ker is
+    orthonormal, as [U; V] Z_ker is and U Z_ker is below the cutoff.  A
+    map's record needs no SVD (:attr:`LinearMapOp.domain`)."""
 
     dom: Subspace           # dom A = ran U
     perp: np.ndarray        # (n, n - r) orthonormal basis of its complement
@@ -603,6 +602,11 @@ class LinearDomain:
         u_pinv = (zt[:r].T / s[:r]) @ w[:, :r].T
         return cls(dom=Subspace(len(u), w[:, :r]), perp=w[:, r:], u_pinv=u_pinv,
                    on_dom=v @ u_pinv, zero_value=Subspace(len(u), v @ zt[r:].T))
+
+    def off(self, x, tol=MEMBER_TOL):
+        """Whether x is off dom A, for one point or per row of x: its part
+        across dom A exceeds tol (1 + ||x||)."""
+        return np.linalg.norm(x @ self.perp, axis=-1) > tol * (1.0 + np.linalg.norm(x, axis=-1))
 
 
 class _Linear(_Descriptor):
@@ -622,14 +626,11 @@ class _Linear(_Descriptor):
 
     def apply(self, x):
         d = self.domain
-        if float(np.linalg.norm(x @ d.perp)) > MEMBER_TOL * (1.0 + np.linalg.norm(x)):
-            return EmptySet()
-        return PolyhedralValue(d.on_dom @ x, d.zero_value)
+        return EmptySet() if d.off(x) else PolyhedralValue(d.on_dom @ x, d.zero_value)
 
     def values_at(self, x, ss):
         d = self.domain
-        ok = np.linalg.norm(x @ d.perp, axis=1) <= MEMBER_TOL * (1.0 + np.linalg.norm(x, axis=1))
-        w = x @ d.on_dom.T
+        ok, w = ~d.off(x), x @ d.on_dom.T
         if d.zero_value.dim:
             (g,) = _rngs(ss, 1)
             w = w + g.standard_normal((x.shape[0], d.zero_value.dim)) @ d.zero_value.basis.T
@@ -673,6 +674,13 @@ class LinearMapOp(_Linear):
     @property
     def v_block(self) -> np.ndarray:
         return self.matrix
+
+    @property
+    def domain(self) -> LinearDomain:
+        """R^n with U^+ = I, A on it and A(0) = {0}, kept after first use."""
+        n = self.dim
+        return self._kept("domain", lambda: LinearDomain(
+            full_space(n), np.zeros((n, 0)), np.eye(n), self.matrix, zero_space(n)))
 
     def sample(self, count, radius, ss):
         y = _params(count, self.dim, radius, ss)
@@ -1020,9 +1028,10 @@ def interior_domain_check(a, c: ConvexSetDescriptor) -> bool:
     """Does dom A meet the interior of C?  Exact: dom A meets C shrunk by
     ``INTERIOR_MARGIN`` (see the sets' ``meets``), and a polytope must be
     full-dimensional, since ri C is int C only then."""
+    _chart(a, "an interior domain check")
     if isinstance(c, Polytope) and np.linalg.matrix_rank(c.matrix - c.interior_point()) < c.dim:
         return False
-    return c.meets(dom_subspace(a).basis, INTERIOR_MARGIN) is not None
+    return c.meets(a.domain, INTERIOR_MARGIN) is not None
 
 
 def _cone_sum_maximal(lin, c: ConvexSetDescriptor) -> ValidationReport:
@@ -1036,7 +1045,7 @@ def _cone_sum_maximal(lin, c: ConvexSetDescriptor) -> ValidationReport:
     * D touches a ball C: D cap C is one point p with p - c in D-perp, so
       the graph is {p} x (A p + D-perp), maximal iff D = {0}.
     """
-    d = dom_subspace(lin).basis
+    d = lin.domain
     if c.meets(d, INTERIOR_MARGIN) is not None:
         return ValidationReport(True, True, "linear + normal cone: dom A meets ri C")
     if c.meets(d) is None:
@@ -1045,7 +1054,7 @@ def _cone_sum_maximal(lin, c: ConvexSetDescriptor) -> ValidationReport:
     if not isinstance(c, Ball):
         return ValidationReport(True, True, "linear + normal cone: dom A meets the "
                                             "polyhedral C on its relative boundary")
-    return ValidationReport(True, d.shape[1] == 0,
+    return ValidationReport(True, d.dom.dim == 0,
                             "linear + normal cone: dom A touches the ball at one point "
                             "p, so the graph {p} x (A p + dom A-perp) is maximal iff "
                             "dom A = {0}")

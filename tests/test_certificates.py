@@ -14,6 +14,7 @@ from enlargekit.operators import (
     NotMaximalError,
     SumOp,
     TranslatedOp,
+    UnsupportedOperatorError,
     as_relation,
     graph_member,
 )
@@ -247,6 +248,13 @@ def test_interior_domain_check_cases():
     assert interior_domain_check(line_y, box) is False
     tri = Polytope((np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])))
     assert interior_domain_check(LinearMapOp(np.eye(2)), tri) is True
+    # only a linear operator has a domain record: any other is refused, also
+    # with a flat polytope, whose lack of interior is seen first otherwise
+    segment = Polytope((np.array([-1.0, 0.0]), np.array([1.0, 0.0])))
+    for op in (NormSubdiffOp(2, 2.0), NormalConeOp(box)):
+        for c in (box, segment):
+            with pytest.raises(UnsupportedOperatorError):
+                interior_domain_check(op, c)
 
 
 def test_random_relation_generator_properties():

@@ -519,6 +519,11 @@ _NOT_MONOTONE = "error: operator not monotone: "
      "error: --csv: cannot write"),
     (["enlarge", "{id1}", "--eps", "0.5", "--point", "1,1.5", "--csv", "{out_csv}"], 1,
      "error: --csv writes slice boundary samples: it needs --slice-at"),
+    # an operator, set or sum term that is not a JSON object
+    (["classify", "{set_number}"], 1, "error: cannot load operator spec"),
+    (["classify", "{operator_list}"], 1, "error: cannot load operator spec"),
+    (["classify", "{operator_string}"], 1, "error: cannot load operator spec"),
+    (["classify", "{term_number}"], 1, "error: cannot load operator spec"),
 ])
 def test_main_maps_each_error_to_its_exit_code(specs, tmp_path, capsys, argv, code, prefix):
     from enlargekit import cli
@@ -547,7 +552,12 @@ def test_main_maps_each_error_to_its_exit_code(specs, tmp_path, capsys, argv, co
                             '{"kind": "ball", "center": [0], "radius": 1e400}}}'),
             ("half_dim", '{"space_dim": 2.5, "operator": {"kind": "linear_map", '
                          '"matrix": [[1, 0], [0, 1]]}}'),
-            ("inf_token", '{"space_dim": 2, "operator": {"kind": "norm_subdiff", "p": Infinity}}')):
+            ("inf_token", '{"space_dim": 2, "operator": {"kind": "norm_subdiff", "p": Infinity}}'),
+            ("set_number", '{"space_dim": 2, "operator": {"kind": "normal_cone", "set": 5}}'),
+            ("operator_list", '{"space_dim": 2, "operator": [1, 2]}'),
+            ("operator_string", '{"space_dim": 2, "operator": "linear_map"}'),
+            ("term_number", '{"space_dim": 2, "operator": {"kind": "sum", "terms": '
+                            '[{"kind": "norm_subdiff", "p": 2}, 7]}}')):
         (tmp_path / f"{name}.json").write_text(text)
         paths[name] = str(tmp_path / f"{name}.json")
     assert cli.main([a.format(**paths) for a in argv]) == code

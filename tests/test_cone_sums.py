@@ -96,15 +96,15 @@ def test_subspace_meets_set_matches_a_linear_program(n):
         if want is None:
             continue
         seen.add((type(c).__name__, want))
-        x = c.meets(q, INTERIOR_MARGIN)
-        got = "interior" if x is not None else "touch" if c.meets(q) is not None else "miss"
-        assert got == want, (c, q, depth)
-        if x is not None:
-            assert c.contains(x) and np.linalg.norm(x - q @ (q.T @ x)) <= 1e-8
         rel = LinearRelationOp.from_graph_columns(
             np.block([[q, np.zeros((n, n - q.shape[1]))],
                       [np.zeros((n, q.shape[1])), np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]]]),
             dim=n)
+        x = c.meets(rel.domain, INTERIOR_MARGIN)
+        got = "interior" if x is not None else "touch" if c.meets(rel.domain) is not None else "miss"
+        assert got == want, (c, q, depth)
+        if x is not None:
+            assert c.contains(x) and np.linalg.norm(x - q @ (q.T @ x)) <= 1e-8
         verdict = validate(SumOp((rel, NormalConeOp(c)))).maximal
         touch = q.shape[1] == 0 if isinstance(c, Ball) else True
         assert verdict is {"interior": True, "touch": touch, "miss": False}[want]

@@ -1,26 +1,37 @@
 """dom A is decided once per linear operator, by its kept domain record:
-application, graph membership, the domain subspace and the matrix form
-agree on every relation, and {0} x R^n, whose chart block U is rounding
-dust when its graph basis is rotated, has every x* in its value at 0."""
+application, graph membership, the domain subspace, the matrix form and
+the cone-sum Fitzpatrick function agree on every relation, the sets read
+the record's complement of dom A instead of deriving it, and {0} x R^n,
+whose chart block U is rounding dust when its graph basis is rotated, has
+every x* in its value at 0."""
 
 import json
 
 import numpy as np
 import pytest
 
-from enlargekit import cli
+from enlargekit import cli, linalg
+from enlargekit import operators as ops
 from enlargekit.certificates import (
     fitz_singleton_check,
+    non_enlargeable,
     non_enlargeable_affine,
     random_monotone_matrix,
 )
+from enlargekit.fitzpatrick import fitz_evaluator
 from enlargekit.operators import (
+    Ball,
+    Box,
     EmptySet,
     LinearRelationOp,
+    NormalConeOp,
+    Polytope,
+    SumOp,
     apply,
     dom_subspace,
     graph_member,
     relation_as_map,
+    validate,
 )
 
 # {0} x R^3 from an integer basis: orthonormalised, its U block is dust
@@ -72,12 +83,42 @@ def test_every_domain_question_gets_one_answer(n):
         x = np.vstack([np.zeros(n), (q @ rng.normal(size=(k, 4))).T, rng.normal(size=(4, n))])
         inside = [True] * 5 + [k == n] * 4
         w, ok = op.values_at(x, np.random.SeedSequence(n))
+        assert np.array_equal(op.domain.off(x), ~ok)
+        # a box holding every row: F of A + N_C is +inf exactly off dom A
+        fitz = fitz_evaluator(SumOp((op, NormalConeOp(Box(np.full(n, -9.0), np.full(n, 9.0))))))
         for row, wrow, okrow, want in zip(x, w, ok, inside):
             value = apply(op, row)
             assert (not isinstance(value, EmptySet)) == okrow == dom.contains_vector(row) == want
+            assert op.domain.off(row) == (not want)
+            assert np.isinf(fitz.evaluate(row, rng.normal(size=n))) == (not want)
             if want:
                 assert value.directions.dim == n - k
                 assert graph_member(op, row, wrow)
+
+
+def test_no_set_derives_the_complement_of_dom_a(monkeypatch):
+    rng = np.random.default_rng(4)
+    op = _relation_with_domain(4, 2, rng)[0]
+    sets = (Box(np.full(4, -1.0), np.full(4, 1.0)), Ball(np.zeros(4), 1.0),
+            Polytope(tuple(np.vstack([np.eye(4), -np.eye(4)]))))
+    dom = op.domain
+    spans_dom = []
+    for module in (ops, linalg):
+        real = module.complement
+
+        def recording(s, real=real):
+            spans_dom.append(linalg.same_span(s, dom.dom))
+            return real(s)
+        monkeypatch.setattr(module, "complement", recording)
+    q = dom.dom.basis
+    hess = 0.5 * (q.T @ dom.on_dom @ q + (q.T @ dom.on_dom @ q).T)
+    for c in sets:
+        assert c.meets(dom) is not None and c.face(dom) is not None
+        assert c.subspace_qp(dom, hess)(rng.normal(size=2))[0].shape == (2,)
+        total = SumOp((op, NormalConeOp(c)))
+        assert validate(total).maximal
+        assert not non_enlargeable(total).verdict
+    assert not any(spans_dom)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 40])

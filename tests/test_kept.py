@@ -92,6 +92,16 @@ def _outcome(call):
     return vars(out)
 
 
+def test_a_map_knows_its_domain_without_an_svd(monkeypatch):
+    rng = np.random.default_rng(3)
+    a = random_monotone_matrix(40, rng)
+    calls = _counted(monkeypatch, "svd")
+    assert ops.graph_member(a, rng.normal(size=40), rng.normal(size=40)) is False
+    assert a.values_at(rng.normal(size=(3, 40)), np.random.SeedSequence(0))[1].all()
+    assert ops.dom_subspace(a).dim == 40
+    assert calls == []
+
+
 def test_repeated_membership_tests_decompose_the_map_once(monkeypatch):
     rng = np.random.default_rng(1)
     a = random_monotone_matrix(40, rng)
